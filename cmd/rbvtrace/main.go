@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	rbvtrace [-app NAME] [-requests N] [-cores N] [-topology SPEC] [-seed N] [-limit N] [-buckets N]
+//	rbvtrace [-app NAME] [-requests N] [-topology SPEC] [-seed N] [-limit N] [-buckets N]
 package main
 
 import (
@@ -30,7 +30,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	appName := fs.String("app", "tpcc", "application: webserver, tpcc, tpch, rubis, webwork")
 	requests := fs.Int("requests", 20, "requests to run")
-	cores := fs.Int("cores", 0, "machine cores (0 = the paper's 4; deprecated, use -topology)")
 	topoSpec := fs.String("topology", "", "machine topology spec, e.g. pkg=4:0.85,4:1.15 (see machine.ParseTopology)")
 	seed := fs.Int64("seed", 1, "random seed")
 	limit := fs.Int("limit", 3, "number of request timelines to print")
@@ -55,7 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	res, err := core.Run(core.Options{
 		App:      app,
-		Cores:    *cores,
 		Requests: *requests,
 		Sampling: core.DefaultSampling(app),
 		Seed:     *seed,

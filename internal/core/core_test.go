@@ -4,9 +4,11 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/signature"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -21,14 +23,13 @@ func TestRunValidation(t *testing.T) {
 		{"missing app", Options{Requests: 1}, ErrNoApp},
 		{"zero requests", Options{App: web}, ErrNoRequests},
 		{"negative requests", Options{App: web, Requests: -3}, ErrNoRequests},
-		{"negative cores", Options{App: web, Requests: 1, Cores: -1}, ErrBadCores},
 		{"negative concurrency", Options{App: web, Requests: 1, Concurrency: -2}, ErrBadConcurrency},
 		{"policy without threshold", Options{App: web, Requests: 1,
-			Policy: PolicyContentionEasing}, ErrBadThreshold},
+			PolicyName: "contention-easing"}, ErrBadThreshold},
 		{"metering without threshold", Options{App: web, Requests: 1,
 			MeterCoExecution: true}, ErrBadThreshold},
 		{"unknown policy", Options{App: web, Requests: 1,
-			Policy: PolicyKind(99), UsageThreshold: 1}, ErrUnknownPolicy},
+			PolicyName: "fifo", UsageThreshold: 1}, ErrUnknownPolicy},
 	}
 	for _, tc := range cases {
 		_, err := Run(tc.opts)
@@ -38,6 +39,34 @@ func TestRunValidation(t *testing.T) {
 		}
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, not errors.Is %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestRunRegistryPolicyThreshold: every registered policy that classifies
+// high usage refuses a missing threshold with ErrBadThreshold, and every
+// other policy runs without one. A signature bank is supplied throughout,
+// so the threshold is the only thing a policy can be missing.
+func TestRunRegistryPolicyThreshold(t *testing.T) {
+	app := workload.NewWebServer()
+	calib, err := Run(Options{App: app, Requests: 8, Sampling: DefaultSampling(app), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank := signature.Build(calib.Store.Traces, metrics.L2RefsPerIns, BucketFor(app.Name()), 8)
+	for _, name := range sched.PolicyNames() {
+		f, _ := sched.LookupPolicy(name)
+		_, err := Run(Options{App: app, Requests: 4, Sampling: DefaultSampling(app),
+			PolicyName: name, SignatureBank: bank, Seed: 2})
+		switch {
+		case f.NeedsThreshold && !errors.Is(err, ErrBadThreshold):
+			t.Errorf("%s without threshold: err = %v, want ErrBadThreshold", name, err)
+		case !f.NeedsThreshold && err != nil:
+			t.Errorf("%s without threshold: %v", name, err)
+		}
+		if _, err := Run(Options{App: app, Requests: 4, Sampling: DefaultSampling(app),
+			PolicyName: name, SignatureBank: bank, UsageThreshold: 1e-3, Seed: 2}); err != nil {
+			t.Errorf("%s with threshold: %v", name, err)
 		}
 	}
 }
@@ -90,8 +119,8 @@ func TestRunOptionsApply(t *testing.T) {
 
 func TestRunSerialVsConcurrent(t *testing.T) {
 	app := workload.NewTPCH()
-	serial, err := Run(Options{App: app, Cores: 1, Concurrency: 1, Requests: 15,
-		Sampling: DefaultSampling(app), Seed: 1})
+	serial, err := Run(Options{App: app, Concurrency: 1, Requests: 15,
+		Sampling: DefaultSampling(app), Seed: 1}, WithTopology(machine.Homogeneous(1, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +146,7 @@ func TestRunWithContentionEasing(t *testing.T) {
 	}
 	threshold := sched.HighUsageThreshold(base.Store, 80)
 	eased, err := Run(Options{App: app, Requests: 20, Sampling: DefaultSampling(app),
-		Policy: PolicyContentionEasing, UsageThreshold: threshold,
+		PolicyName: "contention-easing", UsageThreshold: threshold,
 		MeterCoExecution: true, Seed: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -127,21 +127,21 @@ func Ablations(cfg Config) (*AblationsResult, error) {
 		return nil, fmt.Errorf("ablations topology calib: %w", err)
 	}
 	threshold := sched.HighUsageThreshold(calib.Store, 80)
-	p99 := func(policy core.PolicyKind) (float64, error) {
+	p99 := func(policy string) (float64, error) {
 		res, err := core.Run(core.Options{
 			App: tpch, Requests: n, Sampling: core.DefaultSampling(tpch),
-			Policy: policy, UsageThreshold: threshold, Seed: cfg.Seed + 1,
+			PolicyName: policy, UsageThreshold: threshold, Seed: cfg.Seed + 1,
 		}, core.WithObserver(cfg.Obs))
 		if err != nil {
 			return 0, err
 		}
 		return stats.Percentile(res.Store.MetricValues(metrics.CPI), 99), nil
 	}
-	paperP99, err := p99(core.PolicyContentionEasing)
+	paperP99, err := p99("contention-easing")
 	if err != nil {
 		return nil, fmt.Errorf("ablations topology: %w", err)
 	}
-	topoP99, err := p99(core.PolicyTopologyAware)
+	topoP99, err := p99("topology-aware")
 	if err != nil {
 		return nil, fmt.Errorf("ablations topology: %w", err)
 	}

@@ -79,7 +79,7 @@ func Figure12(cfg Config) (*Figure12Result, error) {
 		}
 		kind := "original"
 		if easing {
-			opts.Policy = core.PolicyContentionEasing
+			opts.PolicyName = "contention-easing"
 			kind = "eased"
 		}
 		res, err := core.Run(opts, core.WithObserver(cfg.Obs))

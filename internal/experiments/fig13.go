@@ -78,7 +78,7 @@ func Figure13(cfg Config) (*Figure13Result, error) {
 		}
 		kind := "original"
 		if easing {
-			opts.Policy = core.PolicyContentionEasing
+			opts.PolicyName = "contention-easing"
 			opts.UsageThreshold = st.threshold
 			kind = "eased"
 		}

@@ -69,21 +69,18 @@ func (c *PolicyContext) sessions() (*SignatureSessions, error) {
 	return c.Sessions, nil
 }
 
-// threshold validates the context's high-usage threshold.
-func (c *PolicyContext) threshold(policy string) (float64, error) {
-	if c.Threshold <= 0 {
-		return 0, fmt.Errorf("sched: policy %s requires a positive usage threshold, got %g", policy, c.Threshold)
-	}
-	return c.Threshold, nil
-}
-
 // PolicyFactory names one registered scheduling policy.
 type PolicyFactory struct {
 	// Name is the registry key (CLI flags, comparison tables, hypotheses).
 	Name string
 	// Doc is a one-line description for listings.
 	Doc string
-	// New builds the policy from the shared context.
+	// NeedsThreshold marks policies that classify high usage: NewPolicy
+	// refuses to build them without a positive PolicyContext.Threshold,
+	// and core.Run checks it before building any simulation state.
+	NeedsThreshold bool
+	// New builds the policy from the shared context (NewPolicy checks
+	// NeedsThreshold first).
 	New func(*PolicyContext) (kernel.Policy, error)
 }
 
@@ -98,43 +95,34 @@ var policies = []PolicyFactory{
 		},
 	},
 	{
-		Name: "contention-easing",
-		Doc:  "Section 5.2: avoid co-executing predicted high-usage requests",
+		Name:           "contention-easing",
+		Doc:            "Section 5.2: avoid co-executing predicted high-usage requests",
+		NeedsThreshold: true,
 		New: func(c *PolicyContext) (kernel.Policy, error) {
-			th, err := c.threshold("contention-easing")
-			if err != nil {
-				return nil, err
-			}
 			m, err := c.monitor()
 			if err != nil {
 				return nil, err
 			}
-			return NewContentionEasing(m, th), nil
+			return NewContentionEasing(m, c.Threshold), nil
 		},
 	},
 	{
-		Name: "topology-aware",
-		Doc:  "contention easing weighted by shared-cache package locality",
+		Name:           "topology-aware",
+		Doc:            "contention easing weighted by shared-cache package locality",
+		NeedsThreshold: true,
 		New: func(c *PolicyContext) (kernel.Policy, error) {
-			th, err := c.threshold("topology-aware")
-			if err != nil {
-				return nil, err
-			}
 			m, err := c.monitor()
 			if err != nil {
 				return nil, err
 			}
-			return NewTopologyAware(m, th), nil
+			return NewTopologyAware(m, c.Threshold), nil
 		},
 	},
 	{
-		Name: "cluster-cosched",
-		Doc:  "avoid co-running same-signature-cluster cache polluters",
+		Name:           "cluster-cosched",
+		Doc:            "avoid co-running same-signature-cluster cache polluters",
+		NeedsThreshold: true,
 		New: func(c *PolicyContext) (kernel.Policy, error) {
-			th, err := c.threshold("cluster-cosched")
-			if err != nil {
-				return nil, err
-			}
 			m, err := c.monitor()
 			if err != nil {
 				return nil, err
@@ -143,7 +131,7 @@ var policies = []PolicyFactory{
 			if err != nil {
 				return nil, err
 			}
-			return NewClusterCoSched(m, s, th), nil
+			return NewClusterCoSched(m, s, c.Threshold), nil
 		},
 	},
 	{
@@ -189,6 +177,9 @@ func NewPolicy(name string, ctx *PolicyContext) (kernel.Policy, error) {
 	if !ok {
 		return nil, fmt.Errorf("sched: unknown policy %q (valid: %s)",
 			name, strings.Join(PolicyNames(), ", "))
+	}
+	if f.NeedsThreshold && ctx.Threshold <= 0 {
+		return nil, fmt.Errorf("sched: policy %s requires a positive usage threshold, got %g", name, ctx.Threshold)
 	}
 	return f.New(ctx)
 }

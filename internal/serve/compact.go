@@ -1,56 +1,24 @@
-// Online bank compaction and threshold calibration. Every CompactTicks
-// ticks the engine, in its serial phase, rematerializes the sliding
-// window's patterns, reclusters them with k-medoids over a pooled distance
-// matrix, rebuilds the signature bank from the medoids, rebinds every
-// in-flight session (Service.SetMatcher), refreshes the degraded-path
-// template cache, and recalibrates the anomaly threshold against the new
-// bank — all in preallocated scratch, so a steady-state compaction
-// allocates nothing.
+// Online bank compaction and threshold calibration for the single-node
+// engine. Every CompactTicks ticks the engine, in its serial phase, has its
+// windowBank (bank.go) recluster the sliding window and recalibrate the
+// anomaly threshold, then rebuilds the matcher in place, rebinds every
+// in-flight session (Service.SetMatcher), and refreshes the degraded-path
+// template cache — all in preallocated scratch, so a steady-state
+// compaction allocates nothing.
 package serve
 
-import (
-	"sort"
+import "repro/internal/signature"
 
-	"repro/internal/anomaly"
-	"repro/internal/cluster"
-	"repro/internal/distance"
-	"repro/internal/metrics"
-	"repro/internal/signature"
-)
-
-// minWindowFill is the smallest window occupancy worth compacting:
-// clustering a handful of requests would thrash the bank.
-const minWindowFill = 32
-
-// buildInitialBank seeds the bank with the template libraries themselves —
-// every template of every mix app, in app-then-template order — so
-// identification and CPU prediction work from tick zero. The anomaly
-// threshold stays +Inf until the first window calibration.
-func (e *Engine) buildInitialBank() {
-	e.bank = &signature.Bank{Metric: metrics.L2RefsPerIns}
-	for ai := range e.tmpl {
-		for t := range e.tmpl[ai] {
-			tm := &e.tmpl[ai][t]
-			e.bank.Entries = append(e.bank.Entries, signature.Entry{
-				Pattern:   tm.pattern,
-				Average:   meanOf(tm.pattern),
-				CPUTimeNs: tm.cpuNs,
-				Type:      e.cfg.Stream.Apps[ai].Name,
-			})
-			e.cpus = append(e.cpus, tm.cpuNs)
-		}
-	}
-	e.bank.ThresholdNs = medianInPlace(e.cpus)
-	e.cpus = e.cpus[:0]
-	// Pre-size the matcher's envelope against a worst-case bank — as many
-	// entries as the larger of the template bank and the compacted bank,
-	// every pattern at the length cap — before pointing it at the real one:
-	// Rebuild only reuses per-slot storage that is already big enough, so
-	// seeding every slot at the cap makes all later compaction rebuilds
-	// allocation-free no matter which medoid lengths they draw.
+// buildMatcher builds the matcher over the seeded bank. It first pre-sizes
+// the envelope against a worst-case bank — as many entries as the larger of
+// the template bank and the compacted bank, every pattern at the length
+// cap: Rebuild only reuses per-slot storage that is already big enough, so
+// seeding every slot at the cap makes all later compaction rebuilds
+// allocation-free no matter which medoid lengths they draw.
+func (e *Engine) buildMatcher() {
 	e.matcher = &signature.Matcher{}
 	k := e.cfg.BankK
-	if n := len(e.bank.Entries); n > k {
+	if n := len(e.wb.bank.Entries); n > k {
 		k = n
 	}
 	if k > 0 {
@@ -61,87 +29,23 @@ func (e *Engine) buildInitialBank() {
 		}
 		e.matcher.Rebuild(warm)
 	}
-	e.matcher.Rebuild(e.bank)
+	e.matcher.Rebuild(e.wb.bank)
 }
 
-// compact runs one bank rebuild + recalibration cycle. A window below
-// minWindowFill skips the rebuild but still recalibrates, so thresholds
-// track drift even under light traffic.
+// compact runs one bank compaction cycle. After a rebuild it swaps the bank
+// under live traffic: the envelope rebuilds in place, every live and pooled
+// session rebinds (its next identification re-runs the full prefix against
+// the new bank, bit-identical to a fresh session), and the degraded-path
+// cache refreshes.
 func (e *Engine) compact() {
-	if e.winLen < minWindowFill {
-		if e.winLen > 0 {
-			e.recalibrate()
-		}
-		return
+	recals := e.wb.recalibrations
+	if e.wb.compact(e.cfg.Stream.Seed + int64(e.wb.compactions)) {
+		e.matcher.Rebuild(e.wb.bank)
+		e.svc.SetMatcher(e.matcher)
+		e.refreshTemplateCache()
+		e.cCompactions.Add(1)
 	}
-	e.materializeWindow()
-
-	// Pairwise distances and k-medoids over the window, fully pooled. One
-	// fill worker: compaction runs in the serial phase, and spawning a
-	// pool would allocate.
-	e.dm.Fill(e.winN, e.pairFn, distance.MatrixOptions{Workers: 1})
-	e.crng.Reseed(e.cfg.Stream.Seed + int64(e.res.Compactions))
-	k := e.cfg.BankK
-	if k > e.winN {
-		k = e.winN
-	}
-	cres := e.csc.KMedoids(&e.dm, cluster.Config{K: k, Rand: e.crng})
-
-	// Rebuild the bank from the medoids in cluster order. Medoid indices
-	// are deterministic, and every buffer below is pooled: entry patterns
-	// copy into per-slot buffers, CPU medians sort in scratch.
-	e.bank.Entries = e.bank.Entries[:0]
-	e.cpus = e.cpus[:0]
-	for c, m := range cres.Medoids {
-		src := e.winPats[m]
-		e.patBufs[c] = append(e.patBufs[c][:0], src...)
-		rec := e.winAt(m)
-		e.bank.Entries = append(e.bank.Entries, signature.Entry{
-			Pattern:   e.patBufs[c],
-			Average:   meanOf(e.patBufs[c]),
-			CPUTimeNs: rec.cpuNs,
-			Type:      e.cfg.Stream.Apps[rec.app].Name,
-		})
-	}
-	for i := 0; i < e.winN; i++ {
-		e.cpus = append(e.cpus, e.winAt(i).cpuNs)
-	}
-	e.bank.ThresholdNs = medianInPlace(e.cpus)
-
-	// Swap the bank under live traffic: rebuild the envelope in place,
-	// rebind every live and pooled session (their next identification
-	// re-runs the full prefix against the new bank, bit-identical to a
-	// fresh session), refresh the degraded-path cache, recalibrate.
-	e.matcher.Rebuild(e.bank)
-	e.svc.SetMatcher(e.matcher)
-	e.refreshTemplateCache()
-	e.recalibrate()
-	e.res.Compactions++
-	e.cCompactions.Add(1)
-}
-
-// materializeWindow rematerializes every window record's full pattern into
-// pooled buffers (winPats[0:winN], oldest first).
-func (e *Engine) materializeWindow() {
-	e.winN = e.winLen
-	for i := 0; i < e.winN; i++ {
-		rec := e.winAt(i)
-		tmpl := e.tmpl[rec.app][rec.tmpl].pattern
-		buf := e.winPats[i][:0]
-		for j := range tmpl {
-			buf = append(buf, patternValue(tmpl, j, rec.drift, rec.anom))
-		}
-		e.winPats[i] = buf
-	}
-}
-
-// winAt returns window record i, i ∈ [0, winLen), oldest first.
-func (e *Engine) winAt(i int) *winRec {
-	idx := e.winHead - e.winLen + i
-	if idx < 0 {
-		idx += len(e.win)
-	}
-	return &e.win[idx]
+	e.cRecalibrations.Add(e.wb.recalibrations - recals)
 }
 
 // refreshTemplateCache re-identifies every template against the current
@@ -152,52 +56,12 @@ func (e *Engine) refreshTemplateCache() {
 	for a := range e.tmpl {
 		for t := range e.tmpl[a] {
 			pat := e.tmpl[a][t].pattern
-			best, dist := e.bank.IdentifyPatternScored(pat)
+			best, dist := e.wb.bank.IdentifyPatternScored(pat)
 			e.tmplCache[a][t] = tmplMatch{
 				best:  best,
-				high:  e.bank.HighUsage(best),
+				high:  e.wb.bank.HighUsage(best),
 				score: dist / float64(len(pat)),
 			}
 		}
 	}
-}
-
-// recalibrate rescores the window against the current bank and resets the
-// anomaly threshold to the calibration quantile of those scores.
-func (e *Engine) recalibrate() {
-	e.materializeWindow()
-	e.scores = e.scores[:0]
-	for i := 0; i < e.winN; i++ {
-		_, dist := e.bank.IdentifyPatternScored(e.winPats[i])
-		e.scores = append(e.scores, dist/float64(len(e.winPats[i])))
-	}
-	e.threshold = anomaly.Calibrate(e.scores, e.cfg.CalibrationQuantile, e.cfg.CalibrationHeadroom)
-	e.res.Recalibrations++
-	e.cRecalibrations.Add(1)
-}
-
-// meanOf returns the arithmetic mean (0 for an empty slice).
-func meanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// medianInPlace sorts xs and returns its median (0 for empty) — the
-// paper's bank threshold, computed without the stats package's copy.
-func medianInPlace(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sort.Float64s(xs)
-	n := len(xs)
-	if n%2 == 1 {
-		return xs[n/2]
-	}
-	return (xs[n/2-1] + xs[n/2]) / 2
 }

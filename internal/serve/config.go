@@ -149,38 +149,11 @@ func (c Config) normalize() (Config, error) {
 	if c.Workers > c.Shards {
 		c.Workers = c.Shards
 	}
-	if c.TickNs <= 0 {
-		return c, fmt.Errorf("serve: TickNs must be positive, got %d", c.TickNs)
-	}
-	if c.QueueCap <= 0 {
-		return c, fmt.Errorf("serve: QueueCap must be positive, got %d", c.QueueCap)
-	}
-	if c.DegradeDepth <= 0 || c.DegradeDepth > c.QueueCap {
-		return c, fmt.Errorf("serve: DegradeDepth must be in (0, QueueCap], got %d", c.DegradeDepth)
+	if err := c.validateShared(""); err != nil {
+		return c, err
 	}
 	if c.ChunkBuckets <= 0 {
 		return c, fmt.Errorf("serve: ChunkBuckets must be positive, got %d", c.ChunkBuckets)
-	}
-	if c.TemplatesPerApp <= 0 {
-		return c, fmt.Errorf("serve: TemplatesPerApp must be positive, got %d", c.TemplatesPerApp)
-	}
-	if c.MaxPatternLen <= 0 {
-		return c, fmt.Errorf("serve: MaxPatternLen must be positive, got %d", c.MaxPatternLen)
-	}
-	if c.WindowSize <= 1 {
-		return c, fmt.Errorf("serve: WindowSize must exceed 1, got %d", c.WindowSize)
-	}
-	if c.CompactTicks <= 0 {
-		return c, fmt.Errorf("serve: CompactTicks must be positive, got %d", c.CompactTicks)
-	}
-	if c.BankK <= 0 {
-		return c, fmt.Errorf("serve: BankK must be positive, got %d", c.BankK)
-	}
-	if !(c.CalibrationQuantile >= 0 && c.CalibrationQuantile <= 1) {
-		return c, fmt.Errorf("serve: CalibrationQuantile must be in [0,1], got %v", c.CalibrationQuantile)
-	}
-	if !(c.CalibrationHeadroom > 0) {
-		return c, fmt.Errorf("serve: CalibrationHeadroom must be positive, got %v", c.CalibrationHeadroom)
 	}
 	if c.CostPerCallNs < 0 || c.CostPerBucketNs < 0 || c.CostDegradedNs <= 0 {
 		return c, fmt.Errorf("serve: virtual costs must be non-negative (degraded positive)")
@@ -189,4 +162,32 @@ func (c Config) normalize() (Config, error) {
 		return c, fmt.Errorf("serve: one identify chunk (%d virtual ns) exceeds the tick budget (%d): the queue could never drain", minCost, c.TickNs)
 	}
 	return c, nil
+}
+
+// validateShared checks the knobs the engine and the fleet share; field
+// prefixes each field name in errors ("FleetConfig." for the fleet).
+func (c Config) validateShared(field string) error {
+	switch {
+	case c.TickNs <= 0:
+		return fmt.Errorf("serve: %sTickNs must be positive, got %d", field, c.TickNs)
+	case c.QueueCap <= 0:
+		return fmt.Errorf("serve: %sQueueCap must be positive, got %d", field, c.QueueCap)
+	case c.DegradeDepth <= 0 || c.DegradeDepth > c.QueueCap:
+		return fmt.Errorf("serve: %sDegradeDepth must be in (0, QueueCap], got %d", field, c.DegradeDepth)
+	case c.TemplatesPerApp <= 0:
+		return fmt.Errorf("serve: %sTemplatesPerApp must be positive, got %d", field, c.TemplatesPerApp)
+	case c.MaxPatternLen <= 0:
+		return fmt.Errorf("serve: %sMaxPatternLen must be positive, got %d", field, c.MaxPatternLen)
+	case c.WindowSize <= 1:
+		return fmt.Errorf("serve: %sWindowSize must exceed 1, got %d", field, c.WindowSize)
+	case c.CompactTicks <= 0:
+		return fmt.Errorf("serve: %sCompactTicks must be positive, got %d", field, c.CompactTicks)
+	case c.BankK <= 0:
+		return fmt.Errorf("serve: %sBankK must be positive, got %d", field, c.BankK)
+	case !(c.CalibrationQuantile >= 0 && c.CalibrationQuantile <= 1):
+		return fmt.Errorf("serve: %sCalibrationQuantile must be in [0,1], got %v", field, c.CalibrationQuantile)
+	case !(c.CalibrationHeadroom > 0):
+		return fmt.Errorf("serve: %sCalibrationHeadroom must be positive, got %v", field, c.CalibrationHeadroom)
+	}
+	return nil
 }

@@ -12,20 +12,14 @@
 //  3. Aggregate (serial, shard order): merge tick tallies, append
 //     completions to the sliding window, compact queues, and — every
 //     CompactTicks — rebuild the signature bank and recalibrate the
-//     anomaly threshold (compact.go).
+//     anomaly threshold (compact.go, over the shared windowBank).
 package serve
 
 import (
-	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/distance"
 	"repro/internal/obs"
 	"repro/internal/signature"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -46,18 +40,6 @@ type req struct {
 	done      bool
 	predDone  bool
 	predHigh  bool
-}
-
-// winRec is one completed request in the sliding window — the compact form
-// from which compaction rematerializes the full pattern (a pure function
-// of these fields and the template library).
-type winRec struct {
-	app    int32
-	tmpl   int32
-	cohort int32 // arrival cohort (always 0 on the single-node engine)
-	anom   bool
-	drift  float64
-	cpuNs  float64
 }
 
 // shardTally is one shard's per-tick outcome counts, merged serially in
@@ -98,10 +80,9 @@ type Engine struct {
 
 	svc     *signature.Service
 	matcher *signature.Matcher
-	bank    *signature.Bank
-	// threshold is the calibrated anomaly threshold on identification
-	// scores (+Inf until the first calibration).
-	threshold float64
+	// wb is the sliding window of recent completions and the signature
+	// bank compacted from it.
+	wb windowBank
 
 	shards []shardState
 	shift  uint
@@ -112,30 +93,9 @@ type Engine struct {
 	tick        uint64
 	nowNs       int64
 
-	// Sliding window ring of recent completions.
-	win     []winRec
-	winLen  int
-	winHead int
-
-	// Compaction scratch (see compact.go); pairFn is bound once so the
-	// per-compaction Fill call allocates no closure.
-	winPats [][]float64
-	winN    int
-	dm      distance.Matrix
-	pairFn  distance.PairFunc
-	csc     cluster.Scratch
-	crng    *sim.RNG
-	scores  []float64
-	cpus    []float64
-	patBufs [][]float64
-
 	res Result
 
-	workers int
-	workCh  []chan struct{}
-	wg      sync.WaitGroup
-	claim   atomic.Int64
-	closed  bool
+	pool *workerPool // the shard phase
 
 	hist                                    *obs.Histogram
 	cArrivals, cShed, cDegraded, cCompleted *obs.Counter
@@ -159,15 +119,11 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:       cfg,
-		stream:    stream,
-		tmpl:      tmpl,
-		threshold: math.Inf(1),
-		shards:    make([]shardState, cfg.Shards),
-		shift:     uint(64 - log2(cfg.Shards)),
-		win:       make([]winRec, cfg.WindowSize),
-		workers:   cfg.Workers,
-		crng:      sim.NewRNG(0),
+		cfg:    cfg,
+		stream: stream,
+		tmpl:   tmpl,
+		shards: make([]shardState, cfg.Shards),
+		shift:  uint(64 - log2(cfg.Shards)),
 	}
 	for i := range e.shards {
 		sh := &e.shards[i]
@@ -180,22 +136,8 @@ func New(cfg Config) (*Engine, error) {
 	for a := range tmpl {
 		e.tmplCache[a] = make([]tmplMatch, len(tmpl[a]))
 	}
-	// Pattern scratch is preallocated at the hard length cap so window
-	// rematerialization and bank rebuilds never grow a buffer mid-run.
-	e.winPats = make([][]float64, cfg.WindowSize)
-	for i := range e.winPats {
-		e.winPats[i] = make([]float64, 0, cfg.MaxPatternLen)
-	}
-	e.patBufs = make([][]float64, cfg.BankK)
-	for i := range e.patBufs {
-		e.patBufs[i] = make([]float64, 0, cfg.MaxPatternLen)
-	}
-	e.scores = make([]float64, 0, cfg.WindowSize)
-	e.cpus = make([]float64, 0, cfg.WindowSize)
-	e.pairFn = func(i, j int) float64 {
-		return signature.PatternDistance(e.winPats[i], e.winPats[j])
-	}
-	e.buildInitialBank()
+	e.wb.init(cfg, tmpl)
+	e.buildMatcher()
 	e.svc = signature.NewService(e.matcher, cfg.Shards)
 	e.refreshTemplateCache()
 	e.hist = obs.NewHistogram("serve.identify.ns")
@@ -210,25 +152,9 @@ func New(cfg Config) (*Engine, error) {
 		e.cCompactions = c.Counter("serve.compactions")
 		e.cRecalibrations = c.Counter("serve.recalibrations")
 	}
-	if e.workers > 1 {
-		e.workCh = make([]chan struct{}, e.workers)
-		for w := range e.workCh {
-			ch := make(chan struct{}, 1)
-			e.workCh[w] = ch
-			go func() {
-				for range ch {
-					for {
-						s := int(e.claim.Add(1)) - 1
-						if s >= len(e.shards) {
-							break
-						}
-						e.processShard(&e.shards[s])
-					}
-					e.wg.Done()
-				}
-			}()
-		}
-	}
+	e.pool = newWorkerPool(cfg.Workers, len(e.shards), func(s int) {
+		e.processShard(&e.shards[s])
+	})
 	return e, nil
 }
 
@@ -267,14 +193,7 @@ func (e *Engine) Process(n int) {
 func (e *Engine) Drain() {
 	for {
 		e.runTick(false)
-		empty := true
-		for i := range e.shards {
-			if len(e.shards[i].q) > 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
+		if e.Queued() == 0 {
 			return
 		}
 	}
@@ -288,19 +207,7 @@ func (e *Engine) runTick(ingest bool) int {
 	if ingest {
 		arrivals = e.ingest(tickEnd)
 	}
-	// Parallel shard phase.
-	if e.workers > 1 {
-		e.claim.Store(0)
-		e.wg.Add(e.workers)
-		for _, ch := range e.workCh {
-			ch <- struct{}{}
-		}
-		e.wg.Wait()
-	} else {
-		for i := range e.shards {
-			e.processShard(&e.shards[i])
-		}
-	}
+	e.pool.run() // parallel shard phase
 	e.aggregate()
 	e.nowNs = tickEnd
 	e.tick++
@@ -382,7 +289,7 @@ func (e *Engine) processShard(sh *shardState) {
 				r.predDone = true
 				r.predHigh = m.high
 				sh.tally.early++
-				if m.high != (r.cpuNs > e.bank.ThresholdNs) {
+				if m.high != (r.cpuNs > e.wb.bank.ThresholdNs) {
 					sh.tally.earlyWrong++
 				}
 			}
@@ -409,9 +316,9 @@ func (e *Engine) processShard(sh *shardState) {
 			r.pos += nb
 			if !r.predDone && r.pos >= (r.patLen+1)/2 {
 				r.predDone = true
-				r.predHigh = e.bank.HighUsage(best)
+				r.predHigh = e.wb.bank.HighUsage(best)
 				sh.tally.early++
-				if r.predHigh != (r.cpuNs > e.bank.ThresholdNs) {
+				if r.predHigh != (r.cpuNs > e.wb.bank.ThresholdNs) {
 					sh.tally.earlyWrong++
 				}
 			}
@@ -432,7 +339,7 @@ func (e *Engine) complete(sh *shardState, r *req, score float64, degraded bool) 
 		sh.tally.completedDegraded++
 	}
 	sh.tally.scoreSum += score
-	if score > e.threshold {
+	if score > e.wb.threshold {
 		sh.tally.flagged++
 		if r.anom {
 			sh.tally.flaggedInjected++
@@ -459,16 +366,7 @@ func (e *Engine) aggregate() {
 		e.cCompleted.Add(t.completed)
 		e.cFlagged.Add(t.flagged)
 		*t = shardTally{}
-		for _, rec := range sh.winBuf {
-			e.win[e.winHead] = rec
-			e.winHead++
-			if e.winHead == len(e.win) {
-				e.winHead = 0
-			}
-			if e.winLen < len(e.win) {
-				e.winLen++
-			}
-		}
+		e.wb.push(sh.winBuf)
 		sh.winBuf = sh.winBuf[:0]
 		if sh.depth > e.res.MaxShardDepth {
 			e.res.MaxShardDepth = sh.depth
@@ -504,20 +402,14 @@ func (e *Engine) Histogram() *obs.Histogram { return e.hist }
 func (e *Engine) Result() Result {
 	r := e.res
 	r.VirtualNs = e.nowNs
-	r.BankEntries = len(e.bank.Entries)
-	r.Threshold = e.threshold
-	r.WindowFill = e.winLen
+	r.Compactions = e.wb.compactions
+	r.Recalibrations = e.wb.recalibrations
+	r.BankEntries = len(e.wb.bank.Entries)
+	r.Threshold = e.wb.threshold
+	r.WindowFill = e.wb.winLen
 	r.Queued = e.Queued()
 	return r
 }
 
 // Close stops the worker pool. The engine must not be used afterwards.
-func (e *Engine) Close() {
-	if e.closed {
-		return
-	}
-	e.closed = true
-	for _, ch := range e.workCh {
-		close(ch)
-	}
-}
+func (e *Engine) Close() { e.pool.close() }

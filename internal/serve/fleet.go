@@ -13,259 +13,22 @@
 // own queues plus the serial snapshot, so worker scheduling cannot change
 // results. Latency histograms use fixed log buckets with commutative
 // atomic counts, so their quantiles are order-independent too.
+//
+// The fleet is laid out over files by stage: fleet_config.go (FleetConfig
+// and its defaults), fleet_place.go (ingest, placement, scale-out),
+// fleet_exec.go (rate snapshots, package execution, aggregation), and
+// fleet_bank.go (per-node compaction and fleet-wide merges over the shared
+// windowBank).
 package serve
 
 import (
 	"fmt"
-	"math"
-	"runtime"
-	"strings"
-	"sync"
-	"sync/atomic"
 
-	"repro/internal/anomaly"
 	"repro/internal/cache"
-	"repro/internal/cluster"
-	"repro/internal/distance"
 	"repro/internal/machine"
-	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/signature"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
-
-// FleetPolicy selects the fleet's placement policy.
-type FleetPolicy int
-
-const (
-	// FleetRoundRobin cycles arrivals across nodes, filling each node's
-	// shortest core queue.
-	FleetRoundRobin FleetPolicy = iota
-	// FleetContentionEase places predicted high-usage requests on the
-	// fleet package with the least queued high-usage pressure, easing
-	// shared-cache contention (the paper's Section 5.2 policy, fleet-wide).
-	FleetContentionEase
-	// FleetScaleOut starts with one active node and reactively grows or
-	// shrinks the active set from a saturation signal — the per-package
-	// count of queued predicted-high requests. Placement within the active
-	// set follows FleetContentionEase.
-	FleetScaleOut
-)
-
-func (p FleetPolicy) String() string {
-	switch p {
-	case FleetRoundRobin:
-		return "round-robin"
-	case FleetContentionEase:
-		return "contention-easing"
-	case FleetScaleOut:
-		return "scale-out"
-	default:
-		return fmt.Sprintf("FleetPolicy(%d)", int(p))
-	}
-}
-
-// FleetConfig specifies a fleet-mode run. Start from DefaultFleetConfig.
-type FleetConfig struct {
-	// Stream is the fleet-wide arrival process.
-	Stream workload.StreamConfig
-	// Nodes is the fleet: one machine topology per node (at least one).
-	Nodes []machine.Topology
-	// Policy is the placement policy.
-	Policy FleetPolicy
-
-	// TickNs is the virtual tick length (default 1ms). Contention rates
-	// refresh once per tick from head-of-queue snapshots.
-	TickNs int64
-	// QueueCap is each core's queue capacity; an arrival routed to a full
-	// core is shed.
-	QueueCap int
-	// DegradeDepth is the core queue depth at which newly admitted
-	// requests degrade to cached-template serving: a constant
-	// CostDegradedNs drain instead of instruction execution (the
-	// single-node engine's overload tier, per core).
-	DegradeDepth int
-	// CostDegradedNs is the constant virtual cost of draining one
-	// degraded request.
-	CostDegradedNs int64
-
-	// TemplatesPerApp and MaxPatternLen size the behavior template
-	// libraries (see the single-node engine).
-	TemplatesPerApp int
-	MaxPatternLen   int
-
-	// WindowSize is each node's sliding window of completions feeding its
-	// bank compaction; CompactTicks the per-node compaction interval;
-	// BankK the compacted bank size.
-	WindowSize   int
-	CompactTicks int
-	BankK        int
-	// MergeEvery is how many per-node compaction rounds pass between
-	// fleet-wide bank merges (0 disables merging).
-	MergeEvery int
-	// CalibrationQuantile and CalibrationHeadroom set each node's anomaly
-	// threshold from its window scores.
-	CalibrationQuantile float64
-	CalibrationHeadroom float64
-	// ScoreSampleEvery identifies every Nth completed request against the
-	// node bank for anomaly flagging (1 = every request).
-	ScoreSampleEvery int
-
-	// ScaleHighWater, ScaleLowWater, and ScaleCooldownTicks tune the
-	// FleetScaleOut policy (ignored otherwise). A package counts saturated
-	// when its queued predicted-high requests per core reach ScaleHighWater;
-	// the fleet activates another node when at least half its active
-	// packages are saturated, and deactivates its newest node when the
-	// fleet-wide queued-high count per active core falls to ScaleLowWater
-	// and that node has drained. ScaleCooldownTicks separates consecutive
-	// scaling actions. Zero values take the defaults (2, 0.25, 25).
-	ScaleHighWater     float64
-	ScaleLowWater      float64
-	ScaleCooldownTicks int
-
-	// Workers bounds the goroutines of the parallel package phase; ≤0
-	// means GOMAXPROCS. Changes wall-clock time only, never results.
-	Workers int
-	// Obs, when non-nil, collects fleet counters. Results are identical
-	// either way.
-	Obs *obs.Collector
-}
-
-// DefaultFleet is the standard heterogeneous 16-core evaluation fleet: the
-// paper's box, a slow 4-core node, and a fast 8-core node with bigger
-// caches.
-func DefaultFleet() []machine.Topology {
-	fleet, err := machine.ParseFleet("pkg=2,2/pkg=4:0.85/pkg=4:1.15:8,4:1.15:8")
-	if err != nil {
-		panic(err)
-	}
-	return fleet
-}
-
-// DefaultFleetStream is the fleet arrival process: a webserver-heavy mix
-// under diurnal-style modulation, one flash crowd, slow drift, and four
-// behavior cohorts whose drift rates fan out.
-func DefaultFleetStream(seed int64) workload.StreamConfig {
-	return workload.StreamConfig{
-		RatePerSec: 24_000,
-		Apps: []workload.StreamApp{
-			{Name: "webserver", Weight: 6},
-			{Name: "tpcc", Weight: 2},
-			{Name: "rubis", Weight: 2},
-		},
-		Periods: []workload.StreamPeriod{
-			{PeriodNs: 2e9, Amplitude: 0.3},
-			{PeriodNs: 13e9, Amplitude: 0.2, Phase: 0.25},
-		},
-		Bursts:       []workload.StreamBurst{{StartNs: 5e9, DurationNs: 1.5e9, Factor: 2}},
-		DriftPerSec:  0.004,
-		Cohorts:      4,
-		CohortSpread: 0.75,
-		Seed:         seed,
-	}
-}
-
-// DefaultFleetConfig returns the standard fleet-mode configuration on
-// DefaultFleet over DefaultFleetStream(seed).
-func DefaultFleetConfig(seed int64) FleetConfig {
-	return FleetConfig{
-		Stream:              DefaultFleetStream(seed),
-		Nodes:               DefaultFleet(),
-		TickNs:              1e6,
-		QueueCap:            256,
-		DegradeDepth:        192,
-		CostDegradedNs:      300,
-		TemplatesPerApp:     24,
-		MaxPatternLen:       256,
-		WindowSize:          512,
-		CompactTicks:        500,
-		BankK:               16,
-		MergeEvery:          4,
-		CalibrationQuantile: 0.99,
-		CalibrationHeadroom: 1.5,
-		ScoreSampleEvery:    8,
-		ScaleHighWater:      2,
-		ScaleLowWater:       0.25,
-		ScaleCooldownTicks:  25,
-	}
-}
-
-// normalize fills defaults and validates, naming the offending field.
-func (c FleetConfig) normalize() (FleetConfig, error) {
-	if err := c.Stream.Validate(); err != nil {
-		return c, err
-	}
-	if len(c.Nodes) == 0 {
-		return c, fmt.Errorf("serve: FleetConfig.Nodes must have at least one node")
-	}
-	for i, t := range c.Nodes {
-		if err := t.Validate(); err != nil {
-			return c, fmt.Errorf("serve: FleetConfig.Nodes[%d]: %w", i, err)
-		}
-	}
-	switch c.Policy {
-	case FleetRoundRobin, FleetContentionEase, FleetScaleOut:
-	default:
-		return c, fmt.Errorf("serve: FleetConfig.Policy unknown: %d", c.Policy)
-	}
-	if c.ScaleHighWater <= 0 {
-		c.ScaleHighWater = 2
-	}
-	if c.ScaleLowWater <= 0 {
-		c.ScaleLowWater = 0.25
-	}
-	if c.ScaleCooldownTicks <= 0 {
-		c.ScaleCooldownTicks = 25
-	}
-	if c.ScaleLowWater >= c.ScaleHighWater {
-		return c, fmt.Errorf("serve: FleetConfig.ScaleLowWater %g must be below ScaleHighWater %g",
-			c.ScaleLowWater, c.ScaleHighWater)
-	}
-	if c.TickNs <= 0 {
-		return c, fmt.Errorf("serve: FleetConfig.TickNs must be positive, got %d", c.TickNs)
-	}
-	if c.QueueCap <= 0 {
-		return c, fmt.Errorf("serve: FleetConfig.QueueCap must be positive, got %d", c.QueueCap)
-	}
-	if c.DegradeDepth <= 0 || c.DegradeDepth > c.QueueCap {
-		return c, fmt.Errorf("serve: FleetConfig.DegradeDepth must be in (0, QueueCap], got %d", c.DegradeDepth)
-	}
-	if c.CostDegradedNs <= 0 {
-		return c, fmt.Errorf("serve: FleetConfig.CostDegradedNs must be positive, got %d", c.CostDegradedNs)
-	}
-	if c.TemplatesPerApp <= 0 {
-		return c, fmt.Errorf("serve: FleetConfig.TemplatesPerApp must be positive, got %d", c.TemplatesPerApp)
-	}
-	if c.MaxPatternLen <= 0 {
-		return c, fmt.Errorf("serve: FleetConfig.MaxPatternLen must be positive, got %d", c.MaxPatternLen)
-	}
-	if c.WindowSize <= 1 {
-		return c, fmt.Errorf("serve: FleetConfig.WindowSize must exceed 1, got %d", c.WindowSize)
-	}
-	if c.CompactTicks <= 0 {
-		return c, fmt.Errorf("serve: FleetConfig.CompactTicks must be positive, got %d", c.CompactTicks)
-	}
-	if c.BankK <= 0 {
-		return c, fmt.Errorf("serve: FleetConfig.BankK must be positive, got %d", c.BankK)
-	}
-	if c.MergeEvery < 0 {
-		return c, fmt.Errorf("serve: FleetConfig.MergeEvery must be non-negative, got %d", c.MergeEvery)
-	}
-	if !(c.CalibrationQuantile >= 0 && c.CalibrationQuantile <= 1) {
-		return c, fmt.Errorf("serve: FleetConfig.CalibrationQuantile must be in [0,1], got %v", c.CalibrationQuantile)
-	}
-	if !(c.CalibrationHeadroom > 0) {
-		return c, fmt.Errorf("serve: FleetConfig.CalibrationHeadroom must be positive, got %v", c.CalibrationHeadroom)
-	}
-	if c.ScoreSampleEvery <= 0 {
-		c.ScoreSampleEvery = 1
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	return c, nil
-}
 
 // fleetReq is one queued request on a core.
 type fleetReq struct {
@@ -329,21 +92,10 @@ type fleetNode struct {
 	cores []fleetCore
 	pkgs  []int // indices into Fleet.pkgs
 
-	// Sliding window and per-node bank state (serial phase only).
-	win       []winRec
-	winLen    int
-	winHead   int
-	winPats   [][]float64
-	winN      int
-	bank      *signature.Bank
-	threshold float64
-	dm        distance.Matrix
-	pairFn    distance.PairFunc
-	csc       cluster.Scratch
-	crng      *sim.RNG
-	scores    []float64
-	cpus      []float64
-	patBufs   [][]float64
+	// wb is the node's sliding window and compacted bank. The parallel
+	// phase only reads its bank and threshold; everything else runs in the
+	// serial phase.
+	wb windowBank
 
 	hist *obs.Histogram
 	res  NodeResult
@@ -384,22 +136,13 @@ type Fleet struct {
 
 	res FleetResult
 
-	// Merge scratch: concatenated node-bank patterns and their records.
-	mergePats [][]float64
-	mergeCPUs []float64
-	mergeApps []int32
-	mergeDM   distance.Matrix
-	mergeCSC  cluster.Scratch
-	mergeRNG  *sim.RNG
-	mergeFn   distance.PairFunc
+	// merge is the scratch of fleet-wide merges: every node bank laid end
+	// to end.
+	merge patternSet
 
 	fleetHist *obs.Histogram
 
-	workers int
-	workCh  []chan struct{}
-	wg      sync.WaitGroup
-	claim   atomic.Int64
-	closed  bool
+	pool *workerPool // the package phase
 
 	cArrivals, cShed, cDegraded, cCompleted *obs.Counter
 	cFlagged, cMerges                       *obs.Counter
@@ -416,17 +159,14 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Template libraries reuse the single-node engine's builder: only the
-	// stream/template knobs matter to it.
-	tmpl, err := buildTemplates(Config{
-		Stream:          cfg.Stream,
-		TemplatesPerApp: cfg.TemplatesPerApp,
-		MaxPatternLen:   cfg.MaxPatternLen,
-	})
+	// Template libraries and node banks reuse the single-node engine's
+	// builders over the knobs the two share.
+	bankCfg := cfg.shared()
+	tmpl, err := buildTemplates(bankCfg)
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{cfg: cfg, stream: stream, tmpl: tmpl, workers: cfg.Workers}
+	f := &Fleet{cfg: cfg, stream: stream, tmpl: tmpl}
 	mc := machine.DefaultConfig()
 	f.penCfg = mc.Cache
 	for ni, topo := range cfg.Nodes {
@@ -434,12 +174,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		if topo.CyclesPerNs > 0 {
 			clock = topo.CyclesPerNs
 		}
-		n := &fleetNode{
-			topo:  topo,
-			clock: clock,
-			crng:  sim.NewRNG(0),
-			win:   make([]winRec, cfg.WindowSize),
-		}
+		n := &fleetNode{topo: topo, clock: clock}
 		n.res.Node = ni
 		n.res.Topology = topo.String()
 		for pi, ps := range topo.Packages {
@@ -468,21 +203,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			n.pkgs = append(n.pkgs, len(f.pkgs))
 			f.pkgs = append(f.pkgs, pkg)
 		}
-		n.winPats = make([][]float64, cfg.WindowSize)
-		for i := range n.winPats {
-			n.winPats[i] = make([]float64, 0, cfg.MaxPatternLen)
-		}
-		n.patBufs = make([][]float64, cfg.BankK)
-		for i := range n.patBufs {
-			n.patBufs[i] = make([]float64, 0, cfg.MaxPatternLen)
-		}
-		n.scores = make([]float64, 0, cfg.WindowSize)
-		n.cpus = make([]float64, 0, cfg.WindowSize+cfg.TemplatesPerApp*len(tmpl))
-		node := n
-		n.pairFn = func(i, j int) float64 {
-			return signature.PatternDistance(node.winPats[i], node.winPats[j])
-		}
-		n.buildTemplateBank(f)
+		n.wb.init(bankCfg, tmpl)
 		n.hist = obs.NewHistogram(fmt.Sprintf("fleet.node%d.latency.ns", ni))
 		f.nodes = append(f.nodes, n)
 	}
@@ -492,7 +213,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	f.fleetThresholds = make([]float64, nc)
 	for i := range f.fleetThresholds {
-		f.fleetThresholds[i] = f.nodes[0].bank.ThresholdNs
+		f.fleetThresholds[i] = f.nodes[0].wb.bank.ThresholdNs
 	}
 	f.cohortCPUs = make([][]float64, nc)
 	for i := range f.cohortCPUs {
@@ -510,16 +231,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if tb := cfg.TemplatesPerApp * len(tmpl) * len(f.nodes); tb > mcap {
 		mcap = tb
 	}
-	f.mergePats = make([][]float64, mcap)
-	for i := range f.mergePats {
-		f.mergePats[i] = make([]float64, 0, cfg.MaxPatternLen)
-	}
-	f.mergeCPUs = make([]float64, 0, mcap)
-	f.mergeApps = make([]int32, 0, mcap)
-	f.mergeRNG = sim.NewRNG(0)
-	f.mergeFn = func(i, j int) float64 {
-		return signature.PatternDistance(f.mergePats[i], f.mergePats[j])
-	}
+	f.merge.init(mcap, cfg.BankK, cfg.MaxPatternLen)
 
 	if c := cfg.Obs; c != nil {
 		c.RegisterHistogram(f.fleetHist)
@@ -533,50 +245,10 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		f.cFlagged = c.Counter("fleet.flagged")
 		f.cMerges = c.Counter("fleet.merges")
 	}
-	if f.workers > len(f.pkgs) {
-		f.workers = len(f.pkgs)
-	}
-	if f.workers > 1 {
-		f.workCh = make([]chan struct{}, f.workers)
-		for w := range f.workCh {
-			ch := make(chan struct{}, 1)
-			f.workCh[w] = ch
-			go func() {
-				for range ch {
-					for {
-						p := int(f.claim.Add(1)) - 1
-						if p >= len(f.pkgs) {
-							break
-						}
-						f.processPkg(f.pkgs[p])
-					}
-					f.wg.Done()
-				}
-			}()
-		}
-	}
+	f.pool = newWorkerPool(cfg.Workers, len(f.pkgs), func(p int) {
+		f.processPkg(f.pkgs[p])
+	})
 	return f, nil
-}
-
-// buildTemplateBank seeds a node's bank with the template library (see the
-// single-node engine's buildInitialBank).
-func (n *fleetNode) buildTemplateBank(f *Fleet) {
-	n.bank = &signature.Bank{Metric: metrics.L2RefsPerIns}
-	n.threshold = math.Inf(1)
-	for ai := range f.tmpl {
-		for t := range f.tmpl[ai] {
-			tm := &f.tmpl[ai][t]
-			n.bank.Entries = append(n.bank.Entries, signature.Entry{
-				Pattern:   tm.pattern,
-				Average:   meanOf(tm.pattern),
-				CPUTimeNs: tm.cpuNs,
-				Type:      f.cfg.Stream.Apps[ai].Name,
-			})
-			n.cpus = append(n.cpus, tm.cpuNs)
-		}
-	}
-	n.bank.ThresholdNs = medianInPlace(n.cpus)
-	n.cpus = n.cpus[:0]
 }
 
 // Process advances the fleet until at least n more arrivals have been
@@ -592,16 +264,7 @@ func (f *Fleet) Process(n int) {
 func (f *Fleet) Drain() {
 	for {
 		f.runTick(false)
-		empty := true
-		for _, n := range f.nodes {
-			for i := range n.cores {
-				if len(n.cores[i].q) > 0 {
-					empty = false
-					break
-				}
-			}
-		}
-		if empty {
+		if f.Queued() == 0 {
 			return
 		}
 	}
@@ -619,553 +282,14 @@ func (f *Fleet) runTick(ingest bool) int {
 		arrivals = f.ingest(tickEnd)
 	}
 	f.snapshotRates()
-	if f.workers > 1 {
-		f.claim.Store(0)
-		f.wg.Add(f.workers)
-		for _, ch := range f.workCh {
-			ch <- struct{}{}
-		}
-		f.wg.Wait()
-	} else {
-		for _, pkg := range f.pkgs {
-			f.processPkg(pkg)
-		}
-	}
+	f.pool.run() // parallel package phase
 	f.aggregate()
 	f.nowNs = tickEnd
 	f.tick++
 	if f.tick%uint64(f.cfg.CompactTicks) == 0 {
-		for _, n := range f.nodes {
-			n.compactNode(f)
-		}
-		f.res.CompactionRounds++
-		if f.cfg.MergeEvery > 0 && f.res.CompactionRounds%uint64(f.cfg.MergeEvery) == 0 {
-			f.mergeBanks()
-		}
+		f.compactRound()
 	}
 	return arrivals
-}
-
-// ingest routes stream arrivals up to the tick boundary through the
-// placement policy.
-func (f *Fleet) ingest(tickEnd int64) int {
-	var n int
-	for {
-		if !f.havePending {
-			f.stream.Next(&f.pending)
-			f.havePending = true
-		}
-		if f.pending.TimeNs >= tickEnd {
-			return n
-		}
-		a := f.pending
-		f.havePending = false
-		n++
-		f.res.Arrivals++
-		f.cArrivals.Add(1)
-
-		tmpls := f.tmpl[a.App]
-		t := int((a.Bits >> 8) % uint64(len(tmpls)))
-		anom := isAnomalous(a.Bits)
-		cohort := f.cfg.Stream.CohortOf(a.Bits)
-		drift := f.stream.CohortDriftAt(a.TimeNs, cohort)
-		cpu := tmpls[t].cpuNs * drift
-		if anom {
-			cpu *= anomalyCPUFactor
-			f.res.Injected++
-		}
-		r := fleetReq{
-			id:        f.nextID,
-			arrivalNs: a.TimeNs,
-			remIns:    tmpls[t].ins,
-			drift:     drift,
-			cpuNs:     cpu,
-			app:       int32(a.App),
-			tmpl:      int32(t),
-			cohort:    int32(cohort),
-			anom:      anom,
-			predHigh:  cpu > f.fleetThresholds[cohort],
-		}
-		f.nextID++
-		node, core := f.place(&r)
-		nd := f.nodes[node]
-		c := &nd.cores[core]
-		if len(c.q) == cap(c.q) {
-			f.res.Shed++
-			nd.res.Shed++
-			f.cShed.Add(1)
-			continue
-		}
-		if len(c.q) >= f.cfg.DegradeDepth {
-			r.degraded = true
-			f.res.Degraded++
-			nd.res.Degraded++
-			f.cDegraded.Add(1)
-		}
-		c.q = append(c.q, r)
-		if r.predHigh {
-			f.pkgs[f.pkgOf(node, core)].queuedHigh++
-		}
-		if len(c.q) > nd.res.MaxQueueDepth {
-			nd.res.MaxQueueDepth = len(c.q)
-		}
-	}
-}
-
-// pkgOf returns the global package index of a node-local core.
-func (f *Fleet) pkgOf(node, core int) int {
-	nd := f.nodes[node]
-	for _, pi := range nd.pkgs {
-		pkg := f.pkgs[pi]
-		if core >= pkg.cores[0] && core <= pkg.cores[len(pkg.cores)-1] {
-			return pi
-		}
-	}
-	return nd.pkgs[0]
-}
-
-// updateScale is the scale-out policy's serial control loop, run at the
-// start of every ingesting tick before arrivals route. It counts saturated
-// active packages against the high-water mark to grow the active set, and
-// shrinks from the newest active node when fleet-wide queued-high pressure
-// falls under the low-water mark and that node has drained. At most one
-// action per cooldown window, so the fleet cannot thrash.
-func (f *Fleet) updateScale() {
-	if f.cooldown > 0 {
-		f.cooldown--
-		return
-	}
-	var pkgs, cores, queuedHigh, saturated int
-	for _, pkg := range f.pkgs {
-		if pkg.node >= f.active {
-			continue
-		}
-		pkgs++
-		cores += len(pkg.cores)
-		queuedHigh += pkg.queuedHigh
-		if float64(pkg.queuedHigh) >= f.cfg.ScaleHighWater*float64(len(pkg.cores)) {
-			saturated++
-		}
-	}
-	switch {
-	case 2*saturated >= pkgs && f.active < len(f.nodes):
-		f.active++
-		f.res.ScaleUps++
-		f.cooldown = f.cfg.ScaleCooldownTicks
-	case f.active > 1 &&
-		float64(queuedHigh) <= f.cfg.ScaleLowWater*float64(cores) &&
-		f.nodeIdle(f.active-1):
-		f.active--
-		f.res.ScaleDowns++
-		f.cooldown = f.cfg.ScaleCooldownTicks
-	}
-}
-
-// nodeIdle reports whether every core queue of a node is empty.
-func (f *Fleet) nodeIdle(ni int) bool {
-	nd := f.nodes[ni]
-	for i := range nd.cores {
-		if len(nd.cores[i].q) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// place picks the (node, core) for an arrival. All tie-breaks are by lowest
-// index, so placement is deterministic. Routing only ever considers the
-// active node prefix — the whole fleet except under scale-out.
-func (f *Fleet) place(r *fleetReq) (node, core int) {
-	ease := f.cfg.Policy == FleetContentionEase || f.cfg.Policy == FleetScaleOut
-	if ease && r.predHigh {
-		// Least high-usage pressure per core across the active packages.
-		bestPkg, best := -1, math.Inf(1)
-		for pi, pkg := range f.pkgs {
-			if pkg.node >= f.active {
-				continue
-			}
-			p := float64(pkg.queuedHigh) / float64(len(pkg.cores))
-			if p < best {
-				best, bestPkg = p, pi
-			}
-		}
-		pkg := f.pkgs[bestPkg]
-		return pkg.node, shortestCore(f.nodes[pkg.node], pkg.cores)
-	}
-	if ease {
-		// Low-usage requests fill the shortest active queue.
-		bestNode, bestCore, best := 0, 0, int(^uint(0)>>1)
-		for ni, nd := range f.nodes[:f.active] {
-			for ci := range nd.cores {
-				if l := len(nd.cores[ci].q); l < best {
-					best, bestNode, bestCore = l, ni, ci
-				}
-			}
-		}
-		return bestNode, bestCore
-	}
-	// Round-robin across active nodes, shortest queue within the node.
-	node = int(f.rrSeq % uint64(f.active))
-	f.rrSeq++
-	nd := f.nodes[node]
-	core = 0
-	for ci := 1; ci < len(nd.cores); ci++ {
-		if len(nd.cores[ci].q) < len(nd.cores[core].q) {
-			core = ci
-		}
-	}
-	return node, core
-}
-
-// shortestCore returns the package core with the shortest queue (lowest
-// index on ties).
-func shortestCore(nd *fleetNode, cores []int) int {
-	best := cores[0]
-	for _, ci := range cores[1:] {
-		if len(nd.cores[ci].q) < len(nd.cores[best].q) {
-			best = ci
-		}
-	}
-	return best
-}
-
-// snapshotRates derives every core's tick execution rate from the
-// head-of-queue occupant set, per package, under the paper's shared-cache
-// and bandwidth contention model. Serial, so the parallel phase reads a
-// consistent snapshot.
-func (f *Fleet) snapshotRates() {
-	for _, nd := range f.nodes {
-		// Per-package effective miss ratios.
-		for _, pi := range nd.pkgs {
-			pkg := f.pkgs[pi]
-			for j, ci := range pkg.cores {
-				c := &nd.cores[ci]
-				if len(c.q) == 0 {
-					pkg.demands[j] = nil
-					continue
-				}
-				r := &c.q[0]
-				tm := &f.tmpl[r.app][r.tmpl]
-				d := tm.demand
-				d.RefsPerIns *= r.drift
-				if r.anom {
-					// Injected anomalies behave as cache polluters.
-					d.RefsPerIns *= anomalyPatFactor
-					d.WorkingSetBytes *= anomalyPatFactor
-				}
-				pkg.demandBuf[j] = d
-				pkg.demands[j] = &pkg.demandBuf[j]
-			}
-			cache.MissRatiosInto(pkg.cacheCfg, pkg.demands, pkg.miss)
-		}
-		// Node-wide bandwidth pressure, then per-core CPI and rate.
-		var traffic float64
-		for _, pi := range nd.pkgs {
-			pkg := f.pkgs[pi]
-			for j := range pkg.cores {
-				if pkg.demands[j] != nil {
-					traffic += pkg.demands[j].RefsPerIns * pkg.miss[j]
-				}
-			}
-		}
-		penalty := cache.PenaltyFactor(f.penCfg, traffic)
-		for _, pi := range nd.pkgs {
-			pkg := f.pkgs[pi]
-			for j, ci := range pkg.cores {
-				c := &nd.cores[ci]
-				if pkg.demands[j] == nil {
-					c.cpi, c.insPerNs = 0, 0
-					continue
-				}
-				r := &c.q[0]
-				tm := &f.tmpl[r.app][r.tmpl]
-				cpi := cache.CPI(pkg.cacheCfg, tm.baseCPI, pkg.demands[j].RefsPerIns, pkg.miss[j], penalty)
-				c.cpi = cpi
-				c.insPerNs = nd.clock * c.scale / cpi
-			}
-		}
-	}
-}
-
-// processPkg burns each of the package's cores' tick budgets on their
-// queues. Rates are the tick-start snapshot; a core that finishes its head
-// continues into the next request at the same rate (rates refresh at tick
-// granularity). Only this package's state is touched.
-func (f *Fleet) processPkg(pkg *fleetPkg) {
-	nd := f.nodes[pkg.node]
-	for _, ci := range pkg.cores {
-		c := &nd.cores[ci]
-		if c.insPerNs == 0 || len(c.q) == 0 {
-			continue
-		}
-		budget := float64(f.cfg.TickNs)
-		for i := range c.q {
-			r := &c.q[i]
-			if r.degraded {
-				// Cached-template serving: a constant drain cost, no
-				// instruction execution and no CPI contribution.
-				if cost := float64(f.cfg.CostDegradedNs); cost > budget {
-					break
-				} else {
-					budget -= cost
-				}
-				r.remIns = 0
-				f.completeFleet(pkg, nd, r, f.nowNs+f.cfg.TickNs-int64(budget))
-				continue
-			}
-			need := r.remIns / c.insPerNs
-			if need > budget {
-				done := budget * c.insPerNs
-				r.remIns -= done
-				pkg.tally.ins += done
-				pkg.tally.cycles += done * c.cpi
-				break
-			}
-			budget -= need
-			pkg.tally.ins += r.remIns
-			pkg.tally.cycles += r.remIns * c.cpi
-			r.remIns = 0
-			f.completeFleet(pkg, nd, r, f.nowNs+f.cfg.TickNs-int64(budget))
-		}
-		// Compact the queue: completed requests are a prefix.
-		c.qNext = c.qNext[:0]
-		for i := range c.q {
-			if c.q[i].remIns > 0 {
-				c.qNext = append(c.qNext, c.q[i])
-			}
-		}
-		c.q, c.qNext = c.qNext, c.q
-	}
-}
-
-// completeFleet finalizes a request: latency histograms, sampled anomaly
-// scoring against the node bank, tallies, and the window record.
-func (f *Fleet) completeFleet(pkg *fleetPkg, nd *fleetNode, r *fleetReq, doneNs int64) {
-	pkg.tally.completed++
-	if r.predHigh {
-		pkg.tally.highDone++
-	}
-	lat := doneNs - r.arrivalNs
-	if lat < 0 {
-		// A request that arrives late in the tick and completes within the
-		// same tick's budget sweep reads as instantaneous.
-		lat = 0
-	}
-	nd.hist.Observe(lat)
-	f.fleetHist.Observe(lat)
-	// Degraded requests skip identification entirely — that is what the
-	// degraded tier buys — so they are never scored or flagged.
-	if !r.degraded && r.id%uint64(f.cfg.ScoreSampleEvery) == 0 {
-		tm := f.tmpl[r.app][r.tmpl].pattern
-		buf := pkg.patBuf[:0]
-		for j := range tm {
-			buf = append(buf, patternValue(tm, j, r.drift, r.anom))
-		}
-		pkg.patBuf = buf
-		_, dist := nd.bank.IdentifyPatternScored(buf)
-		score := dist / float64(len(buf))
-		pkg.tally.scoreSum += score
-		if score > nd.threshold {
-			pkg.tally.flagged++
-			if r.anom {
-				pkg.tally.flaggedInjected++
-			}
-		}
-	}
-	pkg.winBuf = append(pkg.winBuf, winRec{
-		app: r.app, tmpl: r.tmpl, cohort: r.cohort, anom: r.anom, drift: r.drift, cpuNs: r.cpuNs,
-	})
-}
-
-// aggregate merges package tallies serially in (node, package) order —
-// which is how f.pkgs is laid out.
-func (f *Fleet) aggregate() {
-	for _, pkg := range f.pkgs {
-		nd := f.nodes[pkg.node]
-		t := &pkg.tally
-		nd.res.Completed += t.completed
-		nd.res.Flagged += t.flagged
-		nd.res.FlaggedInjected += t.flaggedInjected
-		nd.res.ScoreSum += t.scoreSum
-		nd.res.Cycles += t.cycles
-		nd.res.Instructions += t.ins
-		f.res.Completed += t.completed
-		f.res.Flagged += t.flagged
-		f.res.FlaggedInjected += t.flaggedInjected
-		f.res.ScoreSum += t.scoreSum
-		f.cCompleted.Add(t.completed)
-		f.cFlagged.Add(t.flagged)
-		pkg.queuedHigh -= t.highDone
-		*t = pkgTally{}
-		for _, rec := range pkg.winBuf {
-			nd.win[nd.winHead] = rec
-			nd.winHead++
-			if nd.winHead == len(nd.win) {
-				nd.winHead = 0
-			}
-			if nd.winLen < len(nd.win) {
-				nd.winLen++
-			}
-		}
-		pkg.winBuf = pkg.winBuf[:0]
-	}
-	f.res.Ticks++
-}
-
-// compactNode rebuilds one node's bank from its window via k-medoids and
-// recalibrates its anomaly threshold (mirrors the single-node engine's
-// compact, without the matcher plumbing the fleet path doesn't use).
-func (n *fleetNode) compactNode(f *Fleet) {
-	if n.winLen < minWindowFill {
-		if n.winLen > 0 {
-			n.recalibrateNode(f)
-		}
-		return
-	}
-	n.materializeNodeWindow(f)
-	n.dm.Fill(n.winN, n.pairFn, distance.MatrixOptions{Workers: 1})
-	n.crng.Reseed(f.cfg.Stream.Seed + int64(n.res.Node)*1_000_003 + int64(n.res.Compactions))
-	k := f.cfg.BankK
-	if k > n.winN {
-		k = n.winN
-	}
-	cres := n.csc.KMedoids(&n.dm, cluster.Config{K: k, Rand: n.crng})
-	n.bank.Entries = n.bank.Entries[:0]
-	n.cpus = n.cpus[:0]
-	for c, m := range cres.Medoids {
-		src := n.winPats[m]
-		n.patBufs[c] = append(n.patBufs[c][:0], src...)
-		rec := n.winAtNode(m)
-		n.bank.Entries = append(n.bank.Entries, signature.Entry{
-			Pattern:   n.patBufs[c],
-			Average:   meanOf(n.patBufs[c]),
-			CPUTimeNs: rec.cpuNs,
-			Type:      f.cfg.Stream.Apps[rec.app].Name,
-		})
-	}
-	for i := 0; i < n.winN; i++ {
-		n.cpus = append(n.cpus, n.winAtNode(i).cpuNs)
-	}
-	n.bank.ThresholdNs = medianInPlace(n.cpus)
-	n.recalibrateNode(f)
-	n.res.Compactions++
-}
-
-// materializeNodeWindow rematerializes the node window's patterns into
-// pooled buffers.
-func (n *fleetNode) materializeNodeWindow(f *Fleet) {
-	n.winN = n.winLen
-	for i := 0; i < n.winN; i++ {
-		rec := n.winAtNode(i)
-		tmpl := f.tmpl[rec.app][rec.tmpl].pattern
-		buf := n.winPats[i][:0]
-		for j := range tmpl {
-			buf = append(buf, patternValue(tmpl, j, rec.drift, rec.anom))
-		}
-		n.winPats[i] = buf
-	}
-}
-
-// winAtNode returns node window record i, oldest first.
-func (n *fleetNode) winAtNode(i int) *winRec {
-	idx := n.winHead - n.winLen + i
-	if idx < 0 {
-		idx += len(n.win)
-	}
-	return &n.win[idx]
-}
-
-// recalibrateNode rescores the node window against its bank and resets the
-// anomaly threshold.
-func (n *fleetNode) recalibrateNode(f *Fleet) {
-	n.materializeNodeWindow(f)
-	n.scores = n.scores[:0]
-	for i := 0; i < n.winN; i++ {
-		_, dist := n.bank.IdentifyPatternScored(n.winPats[i])
-		n.scores = append(n.scores, dist/float64(len(n.winPats[i])))
-	}
-	n.threshold = anomaly.Calibrate(n.scores, f.cfg.CalibrationQuantile, f.cfg.CalibrationHeadroom)
-	n.res.Recalibrations++
-}
-
-// mergeBanks concatenates every node's bank in node order, reclusters the
-// union to BankK medoids, and installs the merged bank on every node —
-// the fleet's gossip step, collapsed to one deterministic serial
-// operation. Node thresholds recalibrate against the merged bank, and the
-// per-cohort high-usage thresholds refresh from the windows' cohort
-// medians.
-func (f *Fleet) mergeBanks() {
-	var m int
-	for _, n := range f.nodes {
-		for _, e := range n.bank.Entries {
-			if m == len(f.mergePats) {
-				break
-			}
-			f.mergePats[m] = append(f.mergePats[m][:0], e.Pattern...)
-			f.mergeCPUs = append(f.mergeCPUs, e.CPUTimeNs)
-			f.mergeApps = append(f.mergeApps, appIndexOf(f.cfg.Stream.Apps, e.Type))
-			m++
-		}
-	}
-	if m == 0 {
-		return
-	}
-	f.mergeDM.Fill(m, f.mergeFn, distance.MatrixOptions{Workers: 1})
-	f.mergeRNG.Reseed(f.cfg.Stream.Seed + int64(f.res.Merges))
-	k := f.cfg.BankK
-	if k > m {
-		k = m
-	}
-	cres := f.mergeCSC.KMedoids(&f.mergeDM, cluster.Config{K: k, Rand: f.mergeRNG})
-	for _, n := range f.nodes {
-		n.bank.Entries = n.bank.Entries[:0]
-		for c, mi := range cres.Medoids {
-			n.patBufs[c] = append(n.patBufs[c][:0], f.mergePats[mi]...)
-			n.bank.Entries = append(n.bank.Entries, signature.Entry{
-				Pattern:   n.patBufs[c],
-				Average:   meanOf(n.patBufs[c]),
-				CPUTimeNs: f.mergeCPUs[mi],
-				Type:      f.cfg.Stream.Apps[f.mergeApps[mi]].Name,
-			})
-		}
-		n.cpus = append(n.cpus[:0], f.mergeCPUs[:m]...)
-		n.bank.ThresholdNs = medianInPlace(n.cpus)
-		n.cpus = n.cpus[:0]
-		n.recalibrateNode(f)
-	}
-	// Per-cohort admission thresholds: the median request cost of each
-	// cohort across every node's current window, in node order. Cohorts
-	// with no windowed completions fall back to the merged bank's median.
-	for ci := range f.cohortCPUs {
-		f.cohortCPUs[ci] = f.cohortCPUs[ci][:0]
-	}
-	for _, n := range f.nodes {
-		for i := 0; i < n.winLen; i++ {
-			rec := n.winAtNode(i)
-			f.cohortCPUs[rec.cohort] = append(f.cohortCPUs[rec.cohort], rec.cpuNs)
-		}
-	}
-	for ci := range f.fleetThresholds {
-		if cpus := f.cohortCPUs[ci]; len(cpus) > 0 {
-			f.fleetThresholds[ci] = medianInPlace(cpus)
-		} else {
-			f.fleetThresholds[ci] = f.nodes[0].bank.ThresholdNs
-		}
-	}
-	f.mergeCPUs = f.mergeCPUs[:0]
-	f.mergeApps = f.mergeApps[:0]
-	f.res.Merges++
-	f.cMerges.Add(1)
-}
-
-// appIndexOf maps an app name back to its mix index (0 fallback).
-func appIndexOf(apps []workload.StreamApp, name string) int32 {
-	for i, a := range apps {
-		if a.Name == name {
-			return int32(i)
-		}
-	}
-	return 0
 }
 
 // Queued returns the total in-flight requests across the fleet.
@@ -1195,8 +319,10 @@ func (f *Fleet) Result() FleetResult {
 			nr.CPI = nr.Cycles / nr.Instructions
 		}
 		nr.P99Ns = n.hist.Quantile(0.99)
-		nr.BankEntries = len(n.bank.Entries)
-		nr.Threshold = n.threshold
+		nr.Compactions = n.wb.compactions
+		nr.Recalibrations = n.wb.recalibrations
+		nr.BankEntries = len(n.wb.bank.Entries)
+		nr.Threshold = n.wb.threshold
 		r.Nodes[i] = nr
 		r.Cycles += nr.Cycles
 		r.Instructions += nr.Instructions
@@ -1210,89 +336,4 @@ func (f *Fleet) Result() FleetResult {
 }
 
 // Close stops the worker pool. The fleet must not be used afterwards.
-func (f *Fleet) Close() {
-	if f.closed {
-		return
-	}
-	f.closed = true
-	for _, ch := range f.workCh {
-		close(ch)
-	}
-}
-
-// NodeResult is one node's deterministic outcome.
-type NodeResult struct {
-	Node     int
-	Topology string
-	Cores    int
-
-	Completed       uint64
-	Shed            uint64
-	Degraded        uint64
-	Flagged         uint64
-	FlaggedInjected uint64
-	ScoreSum        float64
-	Compactions     uint64
-	Recalibrations  uint64
-
-	Cycles       float64
-	Instructions float64
-	CPI          float64
-	P99Ns        float64
-
-	MaxQueueDepth int
-	BankEntries   int
-	Threshold     float64
-}
-
-// FleetResult is the whole fleet's deterministic outcome.
-type FleetResult struct {
-	Policy string
-
-	Arrivals        uint64
-	Shed            uint64
-	Degraded        uint64
-	Injected        uint64
-	Completed       uint64
-	Flagged         uint64
-	FlaggedInjected uint64
-	ScoreSum        float64
-
-	Cycles       float64
-	Instructions float64
-	CPI          float64
-	P99Ns        float64
-
-	CompactionRounds uint64
-	Merges           uint64
-	Ticks            uint64
-	VirtualNs        int64
-	Queued           int
-
-	// ScaleUps and ScaleDowns count scale-out policy actions; ActiveNodes
-	// is the final active-set size (always the full fleet for the other
-	// placement policies).
-	ScaleUps    uint64
-	ScaleDowns  uint64
-	ActiveNodes int
-
-	Nodes []NodeResult
-}
-
-// String renders the fleet summary.
-func (r FleetResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "fleet run (%s): %d ticks, %.3fs virtual\n", r.Policy, r.Ticks, float64(r.VirtualNs)/1e9)
-	fmt.Fprintf(&b, "  arrivals %d (shed %d, degraded %d), completed %d, in flight %d\n", r.Arrivals, r.Shed, r.Degraded, r.Completed, r.Queued)
-	fmt.Fprintf(&b, "  fleet CPI %.4f, p99 %.3fms\n", r.CPI, r.P99Ns/1e6)
-	fmt.Fprintf(&b, "  anomalies: injected %d, flagged %d (hits %d)\n", r.Injected, r.Flagged, r.FlaggedInjected)
-	fmt.Fprintf(&b, "  banks: %d compaction rounds, %d merges\n", r.CompactionRounds, r.Merges)
-	if r.Policy == FleetScaleOut.String() {
-		fmt.Fprintf(&b, "  scale: %d ups, %d downs, %d/%d nodes active\n", r.ScaleUps, r.ScaleDowns, r.ActiveNodes, len(r.Nodes))
-	}
-	for _, n := range r.Nodes {
-		fmt.Fprintf(&b, "  node%d %-28s %2d cores: completed %8d  CPI %.4f  p99 %8.3fms  depth %3d  shed %d  degraded %d  flagged %d\n",
-			n.Node, n.Topology, n.Cores, n.Completed, n.CPI, n.P99Ns/1e6, n.MaxQueueDepth, n.Shed, n.Degraded, n.Flagged)
-	}
-	return b.String()
-}
+func (f *Fleet) Close() { f.pool.close() }

@@ -5,6 +5,42 @@ import (
 	"strings"
 )
 
+// FleetPolicy selects the fleet's placement policy.
+type FleetPolicy int
+
+const (
+	// FleetRoundRobin cycles arrivals across nodes, filling each node's
+	// shortest core queue.
+	FleetRoundRobin FleetPolicy = iota
+	// FleetContentionEase places predicted high-usage requests on the
+	// fleet package with the least queued high-usage pressure, easing
+	// shared-cache contention (the paper's Section 5.2 policy, fleet-wide).
+	FleetContentionEase
+	// FleetScaleOut starts with one active node and reactively grows or
+	// shrinks the active set from a saturation signal — the per-package
+	// count of queued predicted-high requests. Placement within the active
+	// set follows FleetContentionEase.
+	FleetScaleOut
+)
+
+// String returns the policy's registered name.
+func (p FleetPolicy) String() string {
+	if info, ok := p.info(); ok {
+		return info.Name
+	}
+	return fmt.Sprintf("FleetPolicy(%d)", int(p))
+}
+
+// info looks the policy up in the registry.
+func (p FleetPolicy) info() (FleetPolicyInfo, bool) {
+	for _, info := range fleetPolicies {
+		if info.Policy == p {
+			return info, true
+		}
+	}
+	return FleetPolicyInfo{}, false
+}
+
 // FleetPolicyInfo describes one registered fleet placement policy. The
 // registry is an ordered slice, not a map, so listings and error messages
 // render in a stable order.
@@ -23,19 +59,19 @@ type FleetPolicyInfo struct {
 var fleetPolicies = []FleetPolicyInfo{
 	{
 		Policy:  FleetRoundRobin,
-		Name:    FleetRoundRobin.String(),
+		Name:    "round-robin",
 		Aliases: []string{"rr"},
 		Doc:     "cycle arrivals across nodes, shortest core queue within the node",
 	},
 	{
 		Policy:  FleetContentionEase,
-		Name:    FleetContentionEase.String(),
+		Name:    "contention-easing",
 		Aliases: []string{"ease"},
 		Doc:     "route predicted-high requests to the least-pressured package fleet-wide",
 	},
 	{
 		Policy:  FleetScaleOut,
-		Name:    FleetScaleOut.String(),
+		Name:    "scale-out",
 		Aliases: []string{"scale"},
 		Doc:     "grow/shrink the active node set from queued-high saturation; ease within it",
 	},

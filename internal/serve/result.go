@@ -69,3 +69,80 @@ func (r Result) String() string {
 	row("backpressure", "max shard depth %d", r.MaxShardDepth)
 	return b.String()
 }
+
+// NodeResult is one node's deterministic outcome.
+type NodeResult struct {
+	Node     int
+	Topology string
+	Cores    int
+
+	Completed       uint64
+	Shed            uint64
+	Degraded        uint64
+	Flagged         uint64
+	FlaggedInjected uint64
+	ScoreSum        float64
+	Compactions     uint64
+	Recalibrations  uint64
+
+	Cycles       float64
+	Instructions float64
+	CPI          float64
+	P99Ns        float64
+
+	MaxQueueDepth int
+	BankEntries   int
+	Threshold     float64
+}
+
+// FleetResult is the whole fleet's deterministic outcome.
+type FleetResult struct {
+	Policy string
+
+	Arrivals        uint64
+	Shed            uint64
+	Degraded        uint64
+	Injected        uint64
+	Completed       uint64
+	Flagged         uint64
+	FlaggedInjected uint64
+	ScoreSum        float64
+
+	Cycles       float64
+	Instructions float64
+	CPI          float64
+	P99Ns        float64
+
+	CompactionRounds uint64
+	Merges           uint64
+	Ticks            uint64
+	VirtualNs        int64
+	Queued           int
+
+	// ScaleUps and ScaleDowns count scale-out policy actions; ActiveNodes
+	// is the final active-set size (always the full fleet for the other
+	// placement policies).
+	ScaleUps    uint64
+	ScaleDowns  uint64
+	ActiveNodes int
+
+	Nodes []NodeResult
+}
+
+// String renders the fleet summary.
+func (r FleetResult) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "fleet run (%s): %d ticks, %.3fs virtual\n", r.Policy, r.Ticks, float64(r.VirtualNs)/1e9)
+	fmt.Fprintf(&b, "  arrivals %d (shed %d, degraded %d), completed %d, in flight %d\n", r.Arrivals, r.Shed, r.Degraded, r.Completed, r.Queued)
+	fmt.Fprintf(&b, "  fleet CPI %.4f, p99 %.3fms\n", r.CPI, r.P99Ns/1e6)
+	fmt.Fprintf(&b, "  anomalies: injected %d, flagged %d (hits %d)\n", r.Injected, r.Flagged, r.FlaggedInjected)
+	fmt.Fprintf(&b, "  banks: %d compaction rounds, %d merges\n", r.CompactionRounds, r.Merges)
+	if r.Policy == FleetScaleOut.String() {
+		fmt.Fprintf(&b, "  scale: %d ups, %d downs, %d/%d nodes active\n", r.ScaleUps, r.ScaleDowns, r.ActiveNodes, len(r.Nodes))
+	}
+	for _, n := range r.Nodes {
+		fmt.Fprintf(&b, "  node%d %-28s %2d cores: completed %8d  CPI %.4f  p99 %8.3fms  depth %3d  shed %d  degraded %d  flagged %d\n",
+			n.Node, n.Topology, n.Cores, n.Completed, n.CPI, n.P99Ns/1e6, n.MaxQueueDepth, n.Shed, n.Degraded, n.Flagged)
+	}
+	return b.String()
+}
