@@ -108,8 +108,9 @@ cover:
 		{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
 # fuzz runs each native fuzz target for a short smoke budget — long enough
-# to exercise the mutator, short enough for CI. Findings land in
-# internal/verify/testdata/fuzz/ as regression seeds.
+# to exercise the mutator, short enough for CI. Findings land in the
+# package's testdata/fuzz/ directory (internal/verify, internal/distance)
+# as regression seeds.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDTW$$' -fuzztime $(FUZZTIME) ./internal/verify/
@@ -117,6 +118,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprintStability$$' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamSpec$$' -fuzztime $(FUZZTIME) ./internal/verify/
 	$(GO) test -run '^$$' -fuzz '^FuzzTopologySpec$$' -fuzztime $(FUZZTIME) ./internal/verify/
+	$(GO) test -run '^$$' -fuzz '^FuzzLevenshtein$$' -fuzztime $(FUZZTIME) ./internal/distance/
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/distance/... ./internal/cluster/...

@@ -244,39 +244,12 @@ func mean(xs []float64) float64 {
 
 // Levenshtein is the string edit distance between two system call name
 // sequences: the minimum number of insertions, deletions, or substitutions
-// transforming one into the other (the Magpie software-event approach).
+// transforming one into the other (the Magpie software-event approach). It
+// runs the same bit-parallel kernel as SymbolIndex.Distance over a
+// two-sequence index; callers comparing a whole population should build
+// one SymbolIndex instead.
 func Levenshtein(a, b []string) int {
-	m, n := len(a), len(b)
-	if m == 0 {
-		return n
-	}
-	if n == 0 {
-		return m
-	}
-	prev := make([]int, n+1)
-	cur := make([]int, n+1)
-	for j := 0; j <= n; j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= m; i++ {
-		cur[0] = i
-		for j := 1; j <= n; j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			best := prev[j-1] + cost // substitute (or match)
-			if alt := prev[j] + 1; alt < best {
-				best = alt // delete from a
-			}
-			if alt := cur[j-1] + 1; alt < best {
-				best = alt // insert into a
-			}
-			cur[j] = best
-		}
-		prev, cur = cur, prev
-	}
-	return prev[n]
+	return NewSymbolIndex([][]string{a, b}).Distance(0, 1)
 }
 
 // PeakPenalty computes the paper's penalty setting: the 99-percentile of

@@ -2,6 +2,7 @@ package distance
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -87,6 +88,34 @@ func BenchmarkLevenshtein_300(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Levenshtein(x, y)
 	}
+}
+
+// BenchmarkLevenshteinMatrix is shaped like Figure 7's syscall matrix: one
+// application's 600 requests, each at most 300 calls over a 23-name
+// alphabet, indexed once and filled through the parallel engine. It
+// reports the cost per filled cell alongside ns/op.
+func BenchmarkLevenshteinMatrix(b *testing.B) {
+	words := make([]string, 23)
+	for i := range words {
+		words[i] = "sys" + strconv.Itoa(i)
+	}
+	r := rand.New(rand.NewSource(1))
+	seqs := make([][]string, 600)
+	for i := range seqs {
+		seqs[i] = make([]string, 1+r.Intn(300))
+		for k := range seqs[i] {
+			seqs[i][k] = words[r.Intn(len(words))]
+		}
+	}
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		x := NewSymbolIndex(seqs)
+		NewMatrix(len(seqs), func(i, j int) float64 {
+			return float64(x.Distance(i, j))
+		}, MatrixOptions{})
+	}
+	cells := len(seqs) * (len(seqs) - 1) / 2
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cells), "ns/cell")
 }
 
 func BenchmarkPeakPenalty(b *testing.B) {

@@ -1,8 +1,10 @@
 package distance
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -242,6 +244,150 @@ func TestLevenshteinTriangleProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// levenshteinDP is the reference oracle for the bit-parallel kernel: the
+// textbook O(m·n) dynamic program, one string compare per cell.
+func levenshteinDP(a, b []string) int {
+	m, n := len(a), len(b)
+	if m == 0 {
+		return n
+	}
+	if n == 0 {
+		return m
+	}
+	prev := make([]int, n+1)
+	cur := make([]int, n+1)
+	for j := 0; j <= n; j++ {
+		prev[j] = j
+	}
+	for i := 1; i <= m; i++ {
+		cur[0] = i
+		for j := 1; j <= n; j++ {
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			best := prev[j-1] + cost // substitute (or match)
+			if alt := prev[j] + 1; alt < best {
+				best = alt // delete from a
+			}
+			if alt := cur[j-1] + 1; alt < best {
+				best = alt // insert into a
+			}
+			cur[j] = best
+		}
+		prev, cur = cur, prev
+	}
+	return prev[n]
+}
+
+// randNames draws n names uniformly from an alphabet of the given size.
+func randNames(r *rand.Rand, n, alphabet int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = "sys" + strconv.Itoa(r.Intn(alphabet))
+	}
+	return out
+}
+
+// mutate applies the given number of random single-symbol edits (insert,
+// delete, or substitute) to a copy of s, giving a near neighbour of s.
+func mutate(r *rand.Rand, s []string, edits, alphabet int) []string {
+	out := append([]string(nil), s...)
+	for e := 0; e < edits; e++ {
+		k := r.Intn(len(out) + 1)
+		name := "sys" + strconv.Itoa(r.Intn(alphabet))
+		switch op := r.Intn(3); {
+		case op == 0 || len(out) == 0 || k == len(out):
+			out = append(out[:k], append([]string{name}, out[k:]...)...)
+		case op == 1:
+			out = append(out[:k], out[k+1:]...)
+		default:
+			out[k] = name
+		}
+	}
+	return out
+}
+
+func TestLevenshteinMatchesDPOracle(t *testing.T) {
+	// Lengths straddle the 64-bit block boundaries; 600 spans ten blocks,
+	// past the stack arrays onto the heap path.
+	lengths := []int{0, 1, 63, 64, 65, 127, 128, 129, 300, 600}
+	r := rand.New(rand.NewSource(1))
+	for _, m := range lengths {
+		for _, n := range lengths {
+			for _, alphabet := range []int{1, 2, 3, 8, 23, 40} {
+				a, b := randNames(r, m, alphabet), randNames(r, n, alphabet)
+				want := levenshteinDP(a, b)
+				if got := Levenshtein(a, b); got != want {
+					t.Fatalf("len %d×%d alphabet %d: Levenshtein = %d, DP = %d", m, n, alphabet, got, want)
+				}
+				if got := Levenshtein(b, a); got != want {
+					t.Fatalf("len %d×%d alphabet %d: reversed Levenshtein = %d, DP = %d", n, m, alphabet, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestSymbolIndexMatchesDPOracle(t *testing.T) {
+	// One index over a mixed population: near neighbours (small distances)
+	// next to unrelated sequences, every alphabet size from 1 to 40, so
+	// each sequence's table also holds rows for symbols it never uses. The
+	// matrix engine's workers share the index, as in Figure 7.
+	r := rand.New(rand.NewSource(2))
+	var seqs [][]string
+	for alphabet := 1; alphabet <= 40; alphabet++ {
+		base := randNames(r, r.Intn(200), alphabet)
+		seqs = append(seqs, base, mutate(r, base, 1+r.Intn(6), alphabet))
+	}
+	x := NewSymbolIndex(seqs)
+	m := NewMatrix(len(seqs), func(i, j int) float64 {
+		return float64(x.Distance(j, i))
+	}, MatrixOptions{Workers: 4})
+	for i := range seqs {
+		for j := range seqs {
+			want := levenshteinDP(seqs[i], seqs[j])
+			if got := x.Distance(i, j); got != want {
+				t.Fatalf("Distance(%d, %d) = %d, DP = %d", i, j, got, want)
+			}
+			if got := m.At(i, j); got != float64(want) {
+				t.Fatalf("matrix cell (%d, %d) = %v, DP = %d", i, j, got, want)
+			}
+		}
+	}
+}
+
+// FuzzLevenshtein checks the bit-parallel kernel against the DP oracle and
+// for symmetry. Each byte of a and b picks one of k = alphabet%40+1 names.
+func FuzzLevenshtein(f *testing.F) {
+	f.Add([]byte("abc"), []byte("bcd"), uint8(4))
+	f.Add([]byte(""), []byte("x"), uint8(0))
+	f.Add(bytes.Repeat([]byte{1, 2, 3}, 43), bytes.Repeat([]byte{2, 3}, 32), uint8(3))
+	f.Add(bytes.Repeat([]byte{7}, 600), bytes.Repeat([]byte{7, 8}, 150), uint8(23))
+	f.Fuzz(func(t *testing.T, a, b []byte, alphabet uint8) {
+		const maxLen = 640 // ten blocks, past the stack path; keeps the oracle cheap
+		if len(a) > maxLen || len(b) > maxLen {
+			t.Skip()
+		}
+		k := int(alphabet)%40 + 1
+		names := func(bs []byte) []string {
+			out := make([]string, len(bs))
+			for i, c := range bs {
+				out[i] = "sys" + strconv.Itoa(int(c)%k)
+			}
+			return out
+		}
+		sa, sb := names(a), names(b)
+		want := levenshteinDP(sa, sb)
+		if got := Levenshtein(sa, sb); got != want {
+			t.Fatalf("Levenshtein = %d, DP = %d", got, want)
+		}
+		if got := Levenshtein(sb, sa); got != want {
+			t.Fatalf("reversed Levenshtein = %d, DP = %d", got, want)
+		}
+	})
 }
 
 func TestPeakPenalty(t *testing.T) {

@@ -35,3 +35,16 @@ func ExampleLevenshtein() {
 	fmt.Println(distance.Levenshtein(a, b))
 	// Output: 2
 }
+
+func ExampleSymbolIndex() {
+	// Index a request population once; every pair then compares interned
+	// syscall IDs through bitmasks instead of strings.
+	seqs := [][]string{
+		{"poll", "read", "stat", "open", "writev"},
+		{"poll", "read", "open", "writev", "shutdown"},
+		{"accept", "read", "writev"},
+	}
+	x := distance.NewSymbolIndex(seqs)
+	fmt.Println(x.Distance(0, 1), x.Distance(0, 2), x.Distance(2, 1))
+	// Output: 2 3 3
+}

@@ -38,9 +38,11 @@ type Figure7Result struct {
 	K    int
 }
 
-// levenshteinCap truncates system call sequences for tractable Levenshtein
-// comparisons on long-request applications (the paper's TPCH requests make
-// thousands of calls; the prefix carries the type-identifying structure).
+// levenshteinCap truncates system call sequences to their prefix on
+// long-request applications (the paper's TPCH requests make thousands of
+// calls; the prefix carries the type-identifying structure). The cap pins
+// the published Figure 7 outputs. Cost does not need it: the bit-parallel
+// kernel compares a 300-call pair in ⌈300/64⌉·300 = 1,500 block steps.
 const levenshteinCap = 300
 
 // Figure7 clusters each application's requests with k-medoids (k=10) under
@@ -72,9 +74,10 @@ func Figure7(cfg Config) (*Figure7Result, error) {
 		// Precompute each measure's full pairwise matrix through the
 		// parallel engine; k-medoids then shares the read-only matrices.
 		opt := distance.MatrixOptions{Obs: cfg.Obs}
+		symbols := distance.NewSymbolIndex(syscalls)
 		dists := map[string]*distance.Matrix{
 			"levenshtein-syscalls": distance.NewMatrix(len(traces), func(i, j int) float64 {
-				return float64(distance.Levenshtein(syscalls[i], syscalls[j]))
+				return float64(symbols.Distance(i, j))
 			}, opt),
 			"average-CPI":            distance.NewMatrixFromSequences(averages, distance.AverageDiff{}, opt),
 			"L1-CPI-variations":      distance.NewMatrixFromSequences(cpiPatterns, m.L1(), opt),

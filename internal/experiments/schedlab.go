@@ -77,9 +77,9 @@ var schedLabLoads = []struct {
 
 // SchedLab runs experiment 21. Policies come from the sched and serve
 // registries, never a hand-kept list, so a newly registered policy joins
-// the race automatically. All kernel cells fan out concurrently when the
-// config allows; results aggregate in the fixed (policy, load) order and
-// are bit-identical across repeats and GOMAXPROCS settings.
+// the race automatically. All kernel cells, and then all fleets, fan out
+// concurrently when the config allows; results aggregate in registry order
+// and are bit-identical across repeats and GOMAXPROCS settings.
 func SchedLab(cfg Config) (*SchedLabResult, error) {
 	app := workload.NewTPCH()
 	n := cfg.schedRequests(app.Name())
@@ -156,17 +156,23 @@ func SchedLab(cfg Config) (*SchedLabResult, error) {
 	fc.Obs = cfg.Obs
 	out.FleetSpec = fc.Stream.String()
 	out.FleetReqs = freq
-	for _, info := range serve.FleetPolicies() {
+	// Each fleet gets its own copy of fc and shares only read-only config
+	// (stream spec, node topologies), so the fleets race concurrently like
+	// the kernel cells; rows keep registry order.
+	fleetPolicies := serve.FleetPolicies()
+	out.Fleet = make([]SchedLabFleetRow, len(fleetPolicies))
+	err = forEachIndex(len(fleetPolicies), par, func(j int) error {
+		info, fc := fleetPolicies[j], fc
 		fc.Policy = info.Policy
 		f, err := serve.NewFleet(fc)
 		if err != nil {
-			return nil, fmt.Errorf("schedlab fleet %s: %w", info.Name, err)
+			return fmt.Errorf("schedlab fleet %s: %w", info.Name, err)
 		}
 		f.Process(freq)
 		f.Drain()
 		r := f.Result()
 		f.Close()
-		out.Fleet = append(out.Fleet, SchedLabFleetRow{
+		out.Fleet[j] = SchedLabFleetRow{
 			Policy:      info.Name,
 			Completed:   r.Completed,
 			Shed:        r.Shed,
@@ -176,7 +182,11 @@ func SchedLab(cfg Config) (*SchedLabResult, error) {
 			ScaleUps:    r.ScaleUps,
 			ScaleDowns:  r.ScaleDowns,
 			ActiveNodes: r.ActiveNodes,
-		})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
