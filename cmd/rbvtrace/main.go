@@ -4,7 +4,12 @@
 //
 // Usage:
 //
-//	rbvtrace [-app NAME] [-requests N] [-topology SPEC] [-seed N] [-limit N] [-buckets N]
+//	rbvtrace [-app NAME] [-requests N] [-policy NAME] [-topology SPEC] [-seed N] [-limit N] [-buckets N]
+//
+// -policy picks a scheduler from the sched package's registry. Like the
+// scheduling experiments, rbvtrace first calibrates with a round-robin run
+// of the same load, which supplies the high-usage threshold and the
+// signature bank that the adaptive policies need.
 package main
 
 import (
@@ -16,12 +21,18 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/sched"
+	"repro/internal/signature"
 	"repro/internal/workload"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
+
+// bankEntries is the compacted signature bank size handed to -policy, the
+// scheduling lab's size.
+const bankEntries = 8
 
 // run is the testable entry point: flag and lookup errors exit 2, run
 // failures exit 1.
@@ -30,6 +41,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	appName := fs.String("app", "tpcc", "application: webserver, tpcc, tpch, rubis, webwork")
 	requests := fs.Int("requests", 20, "requests to run")
+	policy := fs.String("policy", "", "scheduling policy from the sched registry (empty = kernel round-robin)")
 	topoSpec := fs.String("topology", "", "machine topology spec, e.g. pkg=4:0.85,4:1.15 (see machine.ParseTopology)")
 	seed := fs.Int64("seed", 1, "random seed")
 	limit := fs.Int("limit", 3, "number of request timelines to print")
@@ -52,12 +64,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		extra = append(extra, core.WithTopology(topo))
 	}
-	res, err := core.Run(core.Options{
+	opts := core.Options{
 		App:      app,
 		Requests: *requests,
 		Sampling: core.DefaultSampling(app),
 		Seed:     *seed,
-	}, extra...)
+	}
+	opts.Sampling.RecordSyscallEvents = true // the dump prints each request's calls
+	if *policy != "" {
+		if _, ok := sched.LookupPolicy(*policy); !ok {
+			fmt.Fprintf(stderr, "rbvtrace: unknown policy %q (valid: %v)\n", *policy, sched.PolicyNames())
+			return 2
+		}
+		calib, err := core.Run(core.Options{
+			App: app, Requests: *requests, Sampling: core.DefaultSampling(app), Seed: *seed,
+		}, extra...)
+		if err != nil {
+			fmt.Fprintln(stderr, "rbvtrace: calibration:", err)
+			return 1
+		}
+		opts.PolicyName = *policy
+		opts.UsageThreshold = sched.HighUsageThreshold(calib.Store, 80)
+		opts.SignatureBank = signature.BuildCompact(calib.Store.Traces, metrics.L2RefsPerIns,
+			core.BucketFor(app.Name()), 0, bankEntries, *seed)
+	}
+	res, err := core.Run(opts, extra...)
 	if err != nil {
 		fmt.Fprintln(stderr, "rbvtrace:", err)
 		return 1
@@ -98,8 +129,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				max = 12
 			}
 			fmt.Fprintf(stdout, "  syscalls (%d):", n)
-			for _, s := range tr.Syscalls[:max] {
-				fmt.Fprintf(stdout, " %s", s.Name)
+			for _, name := range tr.SyscallNames()[:max] {
+				fmt.Fprintf(stdout, " %s", name)
 			}
 			if n > max {
 				fmt.Fprint(stdout, " ...")

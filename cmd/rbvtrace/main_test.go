@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 func TestRunPrintsTimelines(t *testing.T) {
@@ -91,5 +93,46 @@ func TestRunTopologyOverride(t *testing.T) {
 	}
 	if !strings.Contains(errBuf.String(), "FreqScale") {
 		t.Fatalf("error should name the offending field: %s", errBuf.String())
+	}
+}
+
+// -policy selects a registered scheduler. round-robin is the kernel's
+// default, so naming it reproduces the plain dump; every other policy runs
+// on the threshold and signature bank of rbvtrace's calibration run and
+// schedules this TPCH load differently. Unknown names are usage errors.
+func TestRunPolicyFlag(t *testing.T) {
+	dump := func(args ...string) (string, string, int) {
+		var out, errBuf bytes.Buffer
+		code := run(append([]string{"-app", "tpch", "-requests", "12", "-limit", "1"}, args...), &out, &errBuf)
+		return out.String(), errBuf.String(), code
+	}
+	plain, _, code := dump()
+	if code != 0 {
+		t.Fatalf("plain run exit %d", code)
+	}
+	for _, name := range sched.PolicyNames() {
+		out, stderr, code := dump("-policy", name)
+		if code != 0 {
+			t.Fatalf("-policy %s: exit %d: %s", name, code, stderr)
+		}
+		if same := out == plain; same != (name == "round-robin") {
+			t.Fatalf("-policy %s: dump identical to the default run: %v", name, same)
+		}
+	}
+	_, stderr, code := dump("-policy", "no-such-policy")
+	if code != 2 || !strings.Contains(stderr, "unknown policy") {
+		t.Fatalf("-policy no-such-policy: exit %d, stderr %q; want exit 2 naming the unknown policy", code, stderr)
+	}
+}
+
+// The dump prints each request's leading system calls, so rbvtrace
+// records the streams that the registry's runs leave off.
+func TestRunPrintsSyscalls(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	if code := run([]string{"-app", "tpcc", "-requests", "4", "-limit", "1", "-seed", "1"}, &out, &errBuf); code != 0 {
+		t.Fatalf("exit %d: %s", code, errBuf.String())
+	}
+	if !strings.Contains(out.String(), "syscalls (6): read write write fsync write fsync") {
+		t.Fatalf("syscall line missing or changed:\n%s", out.String())
 	}
 }

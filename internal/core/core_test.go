@@ -2,11 +2,13 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/sampling"
 	"repro/internal/sched"
 	"repro/internal/signature"
 	"repro/internal/stats"
@@ -192,5 +194,52 @@ func TestModelerDerivesPenalty(t *testing.T) {
 	}
 	if m.L1().Name() == "" || m.DTW().Name() == "" || m.DTWPenalized().Name() == "" {
 		t.Fatal("measure constructors broken")
+	}
+}
+
+// Recording the system call stream only writes down calls the simulation
+// issues anyway: for every application, under both the periodic and the
+// syscall-triggered presets, a recording run and a non-recording run must
+// produce identical periods, sample counts, kernel totals, and wall time.
+// This is what lets every experiment but Figures 4 and 7 run without it.
+func TestRecordingSyscallsOnlyObserves(t *testing.T) {
+	for _, app := range workload.All() {
+		for _, preset := range []func(workload.App) sampling.Config{DefaultSampling, SyscallSampling} {
+			run := func(record bool) *Result {
+				scfg := preset(app)
+				scfg.RecordSyscallEvents = record
+				res, err := Run(Options{App: app, Requests: 6, Sampling: scfg, Seed: 5})
+				if err != nil {
+					t.Fatalf("%s: %v", app.Name(), err)
+				}
+				return res
+			}
+			on, off := run(true), run(false)
+			name := app.Name() + "/" + preset(app).Mode.String()
+			if on.Samples != off.Samples || on.ContextSwitches != off.ContextSwitches ||
+				on.Syscalls != off.Syscalls || on.WallTime != off.WallTime {
+				t.Fatalf("%s: recording changed the run: samples %+v vs %+v, switches %d vs %d, syscalls %d vs %d, wall %v vs %v",
+					name, on.Samples, off.Samples, on.ContextSwitches, off.ContextSwitches,
+					on.Syscalls, off.Syscalls, on.WallTime, off.WallTime)
+			}
+			if on.Store.Len() != off.Store.Len() {
+				t.Fatalf("%s: %d traces recording vs %d not", name, on.Store.Len(), off.Store.Len())
+			}
+			var recorded uint64
+			for i, a := range on.Store.Traces {
+				b := off.Store.Traces[i]
+				if a.ID != b.ID || a.Start != b.Start || a.End != b.End || !reflect.DeepEqual(a.Periods, b.Periods) {
+					t.Fatalf("%s: trace %d differs between recording and not", name, i)
+				}
+				if len(b.Syscalls) != 0 {
+					t.Fatalf("%s: non-recording trace %d kept %d syscalls", name, i, len(b.Syscalls))
+				}
+				recorded += uint64(len(a.Syscalls))
+			}
+			// Every call the kernel handled is in exactly one recorded stream.
+			if recorded != on.Syscalls {
+				t.Fatalf("%s: recorded %d syscall events of %d issued", name, recorded, on.Syscalls)
+			}
+		}
 	}
 }

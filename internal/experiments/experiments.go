@@ -19,7 +19,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/sampling"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -102,8 +101,12 @@ func appSet() []workload.App { return workload.All() }
 // runTracked runs an application with its paper-standard periodic sampling.
 // cores > 0 pins a homogeneous layout of that many cores (solo-core
 // calibration); cores == 0 uses cfg.Topology, or the paper's default box.
-func runTracked(cfg Config, app workload.App, cores, requests int) (*core.Result, error) {
-	opts := []core.Option{core.WithSampling(core.DefaultSampling(app)), core.WithObserver(cfg.Obs)}
+// recordSyscalls keeps each trace's system call stream, which only the
+// experiments that read it (Figures 4 and 7) ask for.
+func runTracked(cfg Config, app workload.App, cores, requests int, recordSyscalls bool) (*core.Result, error) {
+	scfg := core.DefaultSampling(app)
+	scfg.RecordSyscallEvents = recordSyscalls
+	opts := []core.Option{core.WithSampling(scfg), core.WithObserver(cfg.Obs)}
 	switch {
 	case cores > 0:
 		per := 2
@@ -119,18 +122,6 @@ func runTracked(cfg Config, app workload.App, cores, requests int) (*core.Result
 		Requests: requests,
 		Seed:     cfg.Seed,
 	}, opts...)
-}
-
-// schedSampling is DefaultSampling without system call event retention. The
-// scheduling experiments (Figures 12–13) consume measured periods and the
-// co-execution meter only — never a trace's syscall stream — and their
-// closed-loop request floors make that stream the dominant memory cost of a
-// full-scale registry run. Discarding it changes no simulated event and no
-// reported value.
-func schedSampling(app workload.App) sampling.Config {
-	s := core.DefaultSampling(app)
-	s.DiscardSyscallEvents = true
-	return s
 }
 
 // forEachIndex invokes fn for every index in [0, n): serially in order, or

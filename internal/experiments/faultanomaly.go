@@ -82,7 +82,6 @@ func mergeSegments(t *distributed.Trace) *trace.Request {
 	m := &trace.Request{ID: t.ID, App: t.App, Type: t.Type, Start: t.Start, End: t.End}
 	for _, seg := range t.Segments {
 		m.Periods = append(m.Periods, seg.Trace.Periods...)
-		m.Syscalls = append(m.Syscalls, seg.Trace.Syscalls...)
 	}
 	return m
 }

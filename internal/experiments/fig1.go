@@ -34,11 +34,11 @@ func Figure1(cfg Config) (*Figure1Result, error) {
 	out := &Figure1Result{}
 	for _, app := range appSet() {
 		n := cfg.modelingRequests(app.Name())
-		serial, err := runTracked(cfg, app, 1, n)
+		serial, err := runTracked(cfg, app, 1, n, false)
 		if err != nil {
 			return nil, fmt.Errorf("figure1 %s serial: %w", app.Name(), err)
 		}
-		conc, err := runTracked(cfg, app, 0, n)
+		conc, err := runTracked(cfg, app, 0, n, false)
 		if err != nil {
 			return nil, fmt.Errorf("figure1 %s concurrent: %w", app.Name(), err)
 		}

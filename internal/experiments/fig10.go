@@ -64,7 +64,7 @@ func Figure10(cfg Config) (*Figure10Result, error) {
 	out := &Figure10Result{}
 	for _, app := range appSet() {
 		n := cfg.modelingRequests(app.Name())
-		res, err := runTracked(cfg, app, 0, n)
+		res, err := runTracked(cfg, app, 0, n, false)
 		if err != nil {
 			return nil, fmt.Errorf("figure10 %s: %w", app.Name(), err)
 		}

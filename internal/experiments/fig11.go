@@ -41,7 +41,7 @@ func Figure11(cfg Config) (*Figure11Result, error) {
 	apps := []workload.App{workload.NewTPCH(), workload.NewWeBWorK()}
 	for _, app := range apps {
 		n := cfg.modelingRequests(app.Name())
-		res, err := runTracked(cfg, app, 0, n)
+		res, err := runTracked(cfg, app, 0, n, false)
 		if err != nil {
 			return nil, fmt.Errorf("figure11 %s: %w", app.Name(), err)
 		}

@@ -58,7 +58,7 @@ func Figure13(cfg Config) (*Figure13Result, error) {
 		st.n = cfg.schedRequests(app.Name())
 		calib, err := core.Run(core.Options{
 			App: app, Requests: st.n, Seed: cfg.Seed,
-		}, core.WithSampling(schedSampling(app)), core.WithObserver(cfg.Obs))
+		}, core.WithSampling(core.DefaultSampling(app)), core.WithObserver(cfg.Obs))
 		if err != nil {
 			return fmt.Errorf("figure13 %s calibration: %w", app.Name(), err)
 		}
@@ -73,7 +73,7 @@ func Figure13(cfg Config) (*Figure13Result, error) {
 		i, r, easing := j/(runs*2), (j%(runs*2))/2, j%2 == 1
 		app, st := apps[i], &states[i]
 		opts := core.Options{
-			App: app, Requests: st.n, Sampling: schedSampling(app),
+			App: app, Requests: st.n, Sampling: core.DefaultSampling(app),
 			Seed: cfg.Seed + int64(r)*101,
 		}
 		kind := "original"

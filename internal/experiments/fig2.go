@@ -39,7 +39,7 @@ func Figure2(cfg Config) (*Figure2Result, error) {
 	out := &Figure2Result{}
 	for _, app := range appSet() {
 		n := cfg.scaled(24, 8)
-		res, err := runTracked(cfg, app, 0, n)
+		res, err := runTracked(cfg, app, 0, n, false)
 		if err != nil {
 			return nil, fmt.Errorf("figure2 %s: %w", app.Name(), err)
 		}

@@ -34,7 +34,7 @@ func Figure3(cfg Config) (*Figure3Result, error) {
 	out := &Figure3Result{Metrics: ms}
 	for _, app := range appSet() {
 		n := cfg.modelingRequests(app.Name())
-		res, err := runTracked(cfg, app, 0, n)
+		res, err := runTracked(cfg, app, 0, n, false)
 		if err != nil {
 			return nil, fmt.Errorf("figure3 %s: %w", app.Name(), err)
 		}

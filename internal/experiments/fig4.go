@@ -38,7 +38,7 @@ func Figure4(cfg Config) (*Figure4Result, error) {
 	out := &Figure4Result{}
 	for _, app := range appSet() {
 		n := cfg.modelingRequests(app.Name())
-		res, err := runTracked(cfg, app, 0, n)
+		res, err := runTracked(cfg, app, 0, n, true)
 		if err != nil {
 			return nil, fmt.Errorf("figure4 %s: %w", app.Name(), err)
 		}

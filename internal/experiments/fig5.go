@@ -46,7 +46,7 @@ func Figure5(cfg Config) (*Figure5Result, error) {
 	out := &Figure5Result{}
 	for _, app := range appSet() {
 		n := cfg.modelingRequests(app.Name())
-		intr, err := runTracked(cfg, app, 0, n)
+		intr, err := runTracked(cfg, app, 0, n, false)
 		if err != nil {
 			return nil, fmt.Errorf("figure5 %s interrupt: %w", app.Name(), err)
 		}

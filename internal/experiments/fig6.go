@@ -31,7 +31,7 @@ type Figure6Result struct {
 // whose progress drifted apart under dynamic execution conditions.
 func Figure6(cfg Config) (*Figure6Result, error) {
 	n := cfg.scaled(250, 40)
-	res, err := runTracked(cfg, workload.NewTPCC(), 0, n)
+	res, err := runTracked(cfg, workload.NewTPCC(), 0, n, false)
 	if err != nil {
 		return nil, fmt.Errorf("figure6: %w", err)
 	}

@@ -51,7 +51,7 @@ func Figure7(cfg Config) (*Figure7Result, error) {
 	out := &Figure7Result{K: 10}
 	for _, app := range appSet() {
 		n := cfg.modelingRequests(app.Name())
-		res, err := runTracked(cfg, app, 0, n)
+		res, err := runTracked(cfg, app, 0, n, true)
 		if err != nil {
 			return nil, fmt.Errorf("figure7 %s: %w", app.Name(), err)
 		}

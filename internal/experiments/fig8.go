@@ -39,7 +39,7 @@ type Figure8Result struct {
 // the group centroid as the reference.
 func Figure8(cfg Config) (*Figure8Result, error) {
 	n := cfg.scaled(120, 30)
-	res, err := runTracked(cfg, workload.NewTPCH(), 0, n)
+	res, err := runTracked(cfg, workload.NewTPCH(), 0, n, false)
 	if err != nil {
 		return nil, fmt.Errorf("figure8: %w", err)
 	}

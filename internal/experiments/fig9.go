@@ -27,7 +27,7 @@ const figure9Problem = 954
 func Figure9(cfg Config) (*Figure9Result, error) {
 	app := workload.NewWeBWorKProblems(figure9Problem, 117, 1501, 2222, 2718)
 	n := cfg.scaled(40, 15)
-	res, err := runTracked(cfg, app, 0, n)
+	res, err := runTracked(cfg, app, 0, n, false)
 	if err != nil {
 		return nil, fmt.Errorf("figure9: %w", err)
 	}

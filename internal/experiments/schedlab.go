@@ -89,7 +89,7 @@ func SchedLab(cfg Config) (*SchedLabResult, error) {
 	// threshold and the compacted signature bank every policy consumes.
 	calib, err := core.Run(core.Options{
 		App: app, Requests: n, Seed: cfg.Seed,
-	}, core.WithSampling(schedSampling(app)), core.WithObserver(cfg.Obs))
+	}, core.WithSampling(core.DefaultSampling(app)), core.WithObserver(cfg.Obs))
 	if err != nil {
 		return nil, fmt.Errorf("schedlab calibration: %w", err)
 	}
@@ -111,7 +111,7 @@ func SchedLab(cfg Config) (*SchedLabResult, error) {
 		pi, li := j/len(schedLabLoads), j%len(schedLabLoads)
 		name, load := policies[pi], schedLabLoads[li]
 		res, err := core.Run(core.Options{
-			App: app, Requests: n, Sampling: schedSampling(app),
+			App: app, Requests: n, Sampling: core.DefaultSampling(app),
 			Seed: cfg.Seed, Concurrency: load.Sessions,
 			PolicyName: name, UsageThreshold: threshold, SignatureBank: bank,
 		}, core.WithObserver(cfg.Obs))

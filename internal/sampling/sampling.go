@@ -76,13 +76,15 @@ type Config struct {
 	// name alone — the Section 3.2 improvement for calls that occur in many
 	// semantic contexts.
 	Bigrams bool
-	// DiscardSyscallEvents skips recording the per-request system call
-	// event stream. Sampling, triggering, and period attribution are
-	// unaffected — only trace.Request.Syscalls stays empty — so analyses
-	// that never read the syscall stream (e.g. the scheduling experiments,
-	// which consume periods and co-execution meters only) avoid the
-	// dominant trace-memory cost of long runs.
-	DiscardSyscallEvents bool
+	// RecordSyscallEvents keeps each request's system call event stream
+	// (trace.Request.Syscalls). Off by default: the stream is recorded
+	// only where an analysis reads it — Figure 4's gap CDFs, Figure 7's
+	// Levenshtein differencing, rbvtrace's dump, and the tests that
+	// inspect it. Sampling, triggering, and period attribution are the
+	// same either way; recording only writes down calls the simulation
+	// issues regardless, and on long runs it is the dominant trace-memory
+	// and per-syscall cost.
+	RecordSyscallEvents bool
 }
 
 // Counts tallies samples by context for overhead accounting.
@@ -113,7 +115,10 @@ func (c Counts) OverheadNs() float64 {
 func (c Counts) Total() uint64 { return c.Kernel + c.Interrupt }
 
 type coreTrack struct {
-	run      *kernel.RequestRun
+	run *kernel.RequestRun
+	// tr is run's trace, cached at switch-in so the per-event hooks skip
+	// the tracker's map lookup.
+	tr       *trace.Request
 	last     metrics.Counters
 	lastTime sim.Time
 	lastCtx  metrics.SampleContext
@@ -138,6 +143,9 @@ type Tracker struct {
 
 	traces  map[*kernel.RequestRun]*trace.Request
 	trainer *SignalTrainer
+	// syscalls is the name table every recorded trace shares (nil unless
+	// RecordSyscallEvents).
+	syscalls *trace.SyscallTable
 
 	onPeriod   []func(run *kernel.RequestRun, tr *trace.Request, dur sim.Time, c metrics.Counters)
 	onComplete []func(tr *trace.Request)
@@ -165,6 +173,9 @@ func NewTracker(k *kernel.Kernel, cfg Config) *Tracker {
 	}
 	if cfg.TrainSignals {
 		t.trainer = NewSignalTrainer()
+	}
+	if cfg.RecordSyscallEvents {
+		t.syscalls = trace.NewSyscallTable()
 	}
 	for i := 0; i < k.Machine().NumCores(); i++ {
 		core := i
@@ -222,11 +233,12 @@ func (t *Tracker) traceFor(run *kernel.RequestRun) *trace.Request {
 	if tr == nil {
 		req := run.Req
 		tr = &trace.Request{
-			ID:        req.ID,
-			App:       req.App,
-			Type:      req.Type,
-			TypeIndex: req.TypeIndex,
-			Start:     run.Start,
+			ID:           req.ID,
+			App:          req.App,
+			Type:         req.Type,
+			TypeIndex:    req.TypeIndex,
+			Start:        run.Start,
+			SyscallTable: t.syscalls,
 		}
 		t.traces[run] = tr
 	}
@@ -265,7 +277,7 @@ func (t *Tracker) sample(core int, ctx metrics.SampleContext) {
 	if t.tobs.samples != nil {
 		t.tobs.samples.Observe(dur)
 	}
-	tr := t.traceFor(run)
+	tr := ct.tr
 	tr.AddPeriod(dur, delta)
 	for _, fn := range t.onPeriod {
 		fn(run, tr, dur, delta)
@@ -301,6 +313,7 @@ func (t *Tracker) baseline(core int) {
 func (t *Tracker) switchIn(core int, run *kernel.RequestRun) {
 	ct := t.cores[core]
 	ct.run = run
+	ct.tr = t.traceFor(run)
 	ct.bigrams.reset()
 	t.baseline(core)
 	t.armTimer(core)
@@ -313,6 +326,7 @@ func (t *Tracker) switchOut(core int, run *kernel.RequestRun) {
 	}
 	t.sample(core, metrics.CtxKernel)
 	ct.run = nil
+	ct.tr = nil
 	ct.timer.Stop()
 }
 
@@ -322,8 +336,8 @@ func (t *Tracker) syscall(core int, run *kernel.RequestRun, name string) {
 		return
 	}
 	now := t.k.Engine().Now()
-	if !t.cfg.DiscardSyscallEvents {
-		tr := t.traceFor(run)
+	if t.cfg.RecordSyscallEvents {
+		tr := ct.tr
 		cpu := tr.CPUTime() + (now - ct.lastTime)
 		tr.AddSyscall(name, run.InstructionsDone(), cpu)
 	}

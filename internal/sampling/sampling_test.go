@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/kernel"
@@ -139,7 +140,7 @@ func TestSignalTriggeredRestrictsTriggers(t *testing.T) {
 }
 
 func TestSyscallEventsRecorded(t *testing.T) {
-	tk := runTracked(t, workload.NewWebServer(), 1, 5, Config{Mode: CtxSwitchOnly})
+	tk := runTracked(t, workload.NewWebServer(), 1, 5, Config{Mode: CtxSwitchOnly, RecordSyscallEvents: true})
 	for _, tr := range tk.Store().Traces {
 		if len(tr.Syscalls) < 5 {
 			t.Fatalf("web trace has only %d syscalls", len(tr.Syscalls))
@@ -316,7 +317,7 @@ func TestMultiTierTraceContinuity(t *testing.T) {
 	// streams include the socket hops.
 	eng := sim.NewEngine()
 	k := kernel.New(eng, kernel.DefaultConfig())
-	tk := NewTracker(k, Config{Mode: CtxSwitchOnly})
+	tk := NewTracker(k, Config{Mode: CtxSwitchOnly, RecordSyscallEvents: true})
 	var runs []*kernel.RequestRun
 	k.OnRequestDone(func(r *kernel.RequestRun) { runs = append(runs, r) })
 	d := kernel.NewDriver(k, kernel.LoadConfig{
@@ -336,8 +337,8 @@ func TestMultiTierTraceContinuity(t *testing.T) {
 			t.Fatalf("multi-tier trace %d: %v instructions vs kernel %v", tr.ID, got, app)
 		}
 		var hops int
-		for _, s := range tr.Syscalls {
-			if s.Name == "sendto" {
+		for _, name := range tr.SyscallNames() {
+			if name == "sendto" {
 				hops++
 			}
 		}
@@ -371,5 +372,63 @@ func TestDegenerateSamplingConfigsStillTrace(t *testing.T) {
 				t.Fatalf("config %d: empty trace", i)
 			}
 		}
+	}
+}
+
+// Symbols are local to one tracker's name table: two trackers that intern
+// the same vocabulary in different orders record different symbol streams
+// for the same run, and the names read back through SyscallNames agree.
+func TestSyscallNamesRoundTripAcrossTables(t *testing.T) {
+	run := func(preIntern []string) *Tracker {
+		eng := sim.NewEngine()
+		k := kernel.New(eng, kernel.DefaultConfig())
+		tk := NewTracker(k, Config{Mode: CtxSwitchOnly, RecordSyscallEvents: true})
+		for _, name := range preIntern {
+			tk.syscalls.Intern(name)
+		}
+		d := kernel.NewDriver(k, kernel.LoadConfig{
+			App: workload.NewRUBiS(), Concurrency: 4, Requests: 20, Seed: 8,
+		})
+		d.Start()
+		eng.RunAll()
+		return tk
+	}
+	first := run(nil)
+	var vocab []string
+	seen := map[string]bool{}
+	for _, tr := range first.Store().Traces {
+		for _, name := range tr.SyscallNames() {
+			if !seen[name] {
+				seen[name] = true
+				vocab = append(vocab, name)
+			}
+		}
+	}
+	if len(vocab) < 3 {
+		t.Fatalf("vocabulary of %d names is too small to reorder", len(vocab))
+	}
+	for i, j := 0, len(vocab)-1; i < j; i, j = i+1, j-1 {
+		vocab[i], vocab[j] = vocab[j], vocab[i]
+	}
+	second := run(vocab)
+
+	a, b := first.Store().Traces, second.Store().Traces
+	if len(a) != len(b) {
+		t.Fatalf("%d vs %d traces", len(a), len(b))
+	}
+	symbolsDiffer := false
+	for i := range a {
+		na, nb := a[i].SyscallNames(), b[i].SyscallNames()
+		if len(na) == 0 || !reflect.DeepEqual(na, nb) {
+			t.Fatalf("trace %d: names %v vs %v", i, na, nb)
+		}
+		for j := range a[i].Syscalls {
+			if a[i].Syscalls[j].Sym != b[i].Syscalls[j].Sym {
+				symbolsDiffer = true
+			}
+		}
+	}
+	if !symbolsDiffer {
+		t.Fatal("reversed interning order left every symbol unchanged")
 	}
 }

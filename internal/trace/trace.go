@@ -23,13 +23,43 @@ type Period struct {
 }
 
 // SyscallEvent is one system call the request issued, positioned by the
-// request's cumulative progress at the call's kernel entrance.
+// request's cumulative progress at the call's kernel entrance. It holds no
+// pointer, so a recorded stream is a flat block the garbage collector
+// never scans.
 type SyscallEvent struct {
-	Name string
+	// Sym is the call's symbol in the request's SyscallTable.
+	Sym uint16
 	// Ins is the request's cumulative application instruction position.
 	Ins float64
 	// CPUTime is the request's cumulative CPU time.
 	CPUTime sim.Time
+}
+
+// SyscallTable interns system call names to dense symbols in first-seen
+// order. Symbols are local to one table; compare traces recorded against
+// different tables by name.
+type SyscallTable struct {
+	names []string
+	syms  map[string]uint16
+}
+
+// NewSyscallTable returns an empty table.
+func NewSyscallTable() *SyscallTable {
+	return &SyscallTable{syms: map[string]uint16{}}
+}
+
+// Intern returns name's symbol, assigning the next one on first sight.
+func (t *SyscallTable) Intern(name string) uint16 {
+	if s, ok := t.syms[name]; ok {
+		return s
+	}
+	if len(t.names) > 0xFFFF {
+		panic("trace: syscall table exceeds 65536 names")
+	}
+	s := uint16(len(t.names))
+	t.names = append(t.names, name)
+	t.syms[name] = s
+	return s
 }
 
 // Request is a complete per-request trace.
@@ -45,6 +75,9 @@ type Request struct {
 	Periods []Period
 	// Syscalls is the request's system call stream.
 	Syscalls []SyscallEvent
+	// SyscallTable names Syscalls' symbols. A trace that records system
+	// calls is constructed with one.
+	SyscallTable *SyscallTable
 
 	// cpuSummed/cpuPeriods cache the running duration sum over
 	// Periods[:cpuPeriods], making CPUTime O(1) amortized. The sampling
@@ -63,9 +96,10 @@ func (r *Request) AddPeriod(dur sim.Time, c metrics.Counters) {
 	r.Periods = append(r.Periods, Period{Dur: dur, C: c})
 }
 
-// AddSyscall appends a system call event.
+// AddSyscall appends a system call event, interning its name in the
+// trace's SyscallTable, which must be set.
 func (r *Request) AddSyscall(name string, ins float64, cpu sim.Time) {
-	r.Syscalls = append(r.Syscalls, SyscallEvent{Name: name, Ins: ins, CPUTime: cpu})
+	r.Syscalls = append(r.Syscalls, SyscallEvent{Sym: r.SyscallTable.Intern(name), Ins: ins, CPUTime: cpu})
 }
 
 // Totals returns the summed counters over all periods.
@@ -134,7 +168,7 @@ func (r *Request) Resampled(m metrics.Metric, bucketIns float64) []float64 {
 func (r *Request) SyscallNames() []string {
 	out := make([]string, len(r.Syscalls))
 	for i, s := range r.Syscalls {
-		out[i] = s.Name
+		out[i] = r.SyscallTable.names[s.Sym]
 	}
 	return out
 }

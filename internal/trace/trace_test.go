@@ -2,6 +2,7 @@ package trace
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -9,7 +10,7 @@ import (
 )
 
 func sampleTrace() *Request {
-	r := &Request{ID: 1, App: "app", Type: "t", Start: 0, End: 1000}
+	r := &Request{ID: 1, App: "app", Type: "t", Start: 0, End: 1000, SyscallTable: NewSyscallTable()}
 	r.AddPeriod(100, metrics.Counters{Cycles: 200, Instructions: 100, L2Refs: 10, L2Misses: 2})
 	r.AddPeriod(100, metrics.Counters{Cycles: 600, Instructions: 200, L2Refs: 40, L2Misses: 20})
 	r.AddSyscall("read", 100, 100)
@@ -128,5 +129,14 @@ func TestStore(t *testing.T) {
 func TestString(t *testing.T) {
 	if sampleTrace().String() == "" {
 		t.Fatal("empty trace string")
+	}
+}
+
+// A recorded event is 24 bytes and holds no pointer: its name lives in the
+// trace's SyscallTable, so a long stream is a flat block the garbage
+// collector never scans.
+func TestSyscallEventIsCompact(t *testing.T) {
+	if got := unsafe.Sizeof(SyscallEvent{}); got != 24 {
+		t.Fatalf("SyscallEvent is %d bytes, want 24", got)
 	}
 }

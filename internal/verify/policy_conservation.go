@@ -21,7 +21,6 @@ func checkPolicyConservation(seed int64) error {
 	app := workload.NewWebServer()
 	const requests = 12
 	sampl := core.DefaultSampling(app)
-	sampl.DiscardSyscallEvents = true
 
 	// Shared calibration for the policies that need a threshold or bank.
 	calib, err := core.Run(core.Options{App: app, Requests: requests, Seed: seed},
